@@ -15,7 +15,7 @@ import sys
 from .core import union_closure
 from .enumeration import EnumerationConstraints, brute_force_enumerate, enumerate_families
 from .errors import CampaignIncomplete, ParseError, UcfError
-from .fileformat import family_line, format_family, parse_family
+from .fileformat import format_family, parse_family
 from .verifier import CHECK_NAMES, check_single, run_campaign
 
 

@@ -25,6 +25,7 @@ from .errors import (
     WitnessUnavailable,
 )
 
+# indexed by (has a 4-set, has a 5-set) read as two binary digits
 SHAPE_TAGS = ("G3", "G3_G5", "G3_G4", "G3_G4_G5")
 
 
@@ -75,12 +76,6 @@ class AbundanceWitness:
         return self.counts[self.elements.index(element)], self.m
 
 
-def _shape_tag(has_4: bool, has_5: bool) -> str:
-    if has_4:
-        return "G3_G4_G5" if has_5 else "G3_G4"
-    return "G3_G5" if has_5 else "G3"
-
-
 def classify_shape(family: SetFamily) -> ShapeClass:
     """Tag an n=6, T=3 family by which of the 4/5 levels are populated.
 
@@ -104,7 +99,7 @@ def classify_shape(family: SetFamily) -> ShapeClass:
     if not is_union_closed(family):
         raise NotInScope("family is not union-closed")
     levels = level_profile(family)
-    return ShapeClass(_shape_tag(levels.counts[4] > 0, levels.counts[5] > 0), levels)
+    return ShapeClass(SHAPE_TAGS[2 * (levels.counts[4] > 0) + (levels.counts[5] > 0)], levels)
 
 
 def _matching_size(remaining: int, nbr: list[int], memo: dict[int, int]) -> int:

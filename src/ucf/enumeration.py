@@ -30,6 +30,23 @@ distinct encodings of the remaining members.  Prefixes of canonical
 families are therefore canonical, and non-canonical nodes prune whole
 subtrees without losing any class.  For the ascending order the kept
 representative coincides with the public CanonicalKey.
+
+The orbit test is one Python int of n! lanes, one per permutation pi,
+each holding enc(identity) - enc(pi) plus a bias bit wider than any
+encoding.  Accepting a member adds one precomputed int, and the node is
+canonical iff every lane still has its bias bit set.
+
+Next to the chosen candidates the walk carries one int of counters
+that do not change under relabeling, one byte per lane: per-element
+frequencies, per-size member counts (T(F) is the smallest nonempty
+size) and the member count m.  Accepting a member adds its precomputed
+column.  ``enumerate_families`` builds a SetFamily for every node;
+``enumerate_job`` hands the visit the counters instead, so a campaign
+checks every family without building it.
+
+numpy is imported only by the oracle, by canonical keys and by the
+relabel that turns a descending-order representative into the public
+canonical one; counting, counter visits and campaigns run without it.
 """
 
 from __future__ import annotations
@@ -38,8 +55,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .core import (
     MAX_GROUND_SIZE,
@@ -58,6 +73,10 @@ BRUTE_FORCE_POOL_CAP = 22
 ORDERS = ("desc", "asc")
 
 Visit = Callable[[SetFamily], None]
+# visit(chosen, counts): chosen lists the family's pool positions and is
+# the walk's own list (copy it to keep it); counts packs its counters,
+# see split_counts
+CounterVisit = Callable[[list[int], int], None]
 
 
 @dataclass(frozen=True)
@@ -107,8 +126,10 @@ def _perms(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _mask_images(n: int) -> np.ndarray:
-    """(n!, 2^n) table: row p maps every mask to its image under perm p."""
+def _mask_images(n: int):
+    """(n!, 2^n) numpy table: row p maps every mask to its image under perm p."""
+    import numpy as np
+
     masks = np.arange(1 << n, dtype=np.uint16)
     rows = []
     for perm in _perms(n):
@@ -119,16 +140,18 @@ def _mask_images(n: int) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _comp_encodings(n: int, members: Sequence[Mask]) -> np.ndarray:
-    """Per-permutation encoding sum(2^image(complement(mask))).
+def _comp_powers(n: int, masks: Sequence[Mask]):
+    """(n!, len(masks)) numpy table of 2^image(complement(mask)).
 
-    Larger encoding = lexicographically smaller ascending member list,
-    so the orbit maximum marks the public canonical representative.
+    Summed over a family's members this is the per-permutation encoding
+    whose maximum marks the public canonical representative: a larger
+    encoding means a lexicographically smaller ascending member list.
     """
+    import numpy as np
+
     top = full_mask(n)
-    table = _mask_images(n)
-    imgs = table[:, [top ^ m for m in members]].astype(np.uint64)
-    return (np.uint64(1) << imgs).sum(axis=1, dtype=np.uint64)
+    imgs = _mask_images(n)[:, [top ^ m for m in masks]].astype(np.uint64)
+    return np.uint64(1) << imgs
 
 
 def canonical_key(family: SetFamily) -> CanonicalKey:
@@ -137,14 +160,63 @@ def canonical_key(family: SetFamily) -> CanonicalKey:
         raise InfeasibleScale(f"canonical keys need an S_n scan; supported for n <= {MAX_CANONICAL_GROUND}")
     if not family.members:
         return CanonicalKey(family.n, ())
-    enc = _comp_encodings(family.n, family.members)
-    perm = _perms(family.n)[int(np.argmax(enc))]
+    enc = _comp_powers(family.n, family.members).sum(axis=1)
+    perm = _perms(family.n)[int(enc.argmax())]
     return CanonicalKey(family.n, tuple(sorted(relabel_mask(m, perm) for m in family.members)))
 
 
 def canonical_form(family: SetFamily) -> SetFamily:
     """The family relabeled to its canonical representative."""
     return SetFamily(family.n, canonical_key(family).members)
+
+
+def _orbit_lanes(n: int, encoded: Sequence[Mask]) -> tuple[tuple[int, ...], int]:
+    """Per-member increments of the packed orbit test, and its bias bits.
+
+    Lane i (in _perms order) is w bits wide with w - 8 >= 2^n, so it
+    holds enc(identity) - enc(perms[i]) + 2^(w-1) without overflow; the
+    increment for encoded member e is 2^e - 2^perms[i](e) in every lane.
+    """
+    perms = _perms(n)
+    lane_bytes = max(1 << n, 8) // 8 + 1
+    ones = int.from_bytes((b"\x01" + bytes(lane_bytes - 1)) * len(perms), "little")
+    # images[mask][i]: the image of mask under perms[i]
+    images = [[0] * len(perms)]
+    singles = [[1 << perm[b] for perm in perms] for b in range(n)]
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        single = singles[low.bit_length() - 1]
+        images.append([a | s for a, s in zip(images[mask ^ low], single)])
+    power = [(1 << e).to_bytes(lane_bytes, "little") for e in range(1 << n)]
+    steps = tuple(
+        (ones << e) - int.from_bytes(b"".join([power[i] for i in images[e]]), "little")
+        for e in encoded
+    )
+    return steps, ones << (8 * lane_bytes - 1)
+
+
+def _member_counts(mask: Mask, n: int) -> int:
+    """The packed counters (see split_counts) of the family {mask}."""
+    lanes = [mask >> b & 1 for b in range(n)] + [0] * (n + 1) + [1]
+    lanes[n + mask.bit_count()] = 1
+    return int.from_bytes(bytes(lanes), "little")
+
+
+def split_counts(n: int, counts: int) -> tuple[int, int, int, int]:
+    """(m, freq, levels, t) from the packed counters of a family over M_n.
+
+    counts holds one byte per lane: byte e-1 counts the members holding
+    element e, byte n+k the members of size k, and the bytes from 2n+1
+    on hold the member count m.  freq and levels keep their lanes (byte
+    e-1, byte k), and t is T(F), the smallest k >= 1 with a member of
+    size k, or 0 without a nonempty member.  A family over M_n has at
+    most 2^n <= 64 members for enumerable n, so no lane overflows.
+    """
+    lane = 8 * n
+    freq = counts & ((1 << lane) - 1)
+    levels = counts >> lane & ((1 << (lane + 8)) - 1)
+    above = levels >> 8
+    return counts >> (2 * lane + 8), freq, levels, ((above & -above).bit_length() + 7) >> 3
 
 
 @dataclass
@@ -158,9 +230,12 @@ class _Search:
     full: Mask
     pool: tuple[Mask, ...]
     utab: tuple[tuple[int, ...], ...]
-    enc_pow: np.ndarray
-    comp_pow: np.ndarray
-    nperms: int
+    # cols[p]: packed counters of {pool[p]}; base: of the family with no
+    # candidate chosen, so a node's counters are base plus its columns
+    cols: tuple[int, ...]
+    base: int
+    steps: tuple[int, ...]
+    high: int
 
     @property
     def size(self) -> int:
@@ -188,13 +263,11 @@ def _search_context(n: int, t: int, require_universe: bool, order: str) -> _Sear
             else:
                 row.append(pos[u])
         utab.append(tuple(row))
-    table = _mask_images(n)
-    raw = table[:, list(pool)].astype(np.uint64)
-    comp = table[:, [full ^ m for m in pool]].astype(np.uint64)
-    one = np.uint64(1)
-    raw_pow = np.ascontiguousarray((one << raw).T)
-    comp_pow = np.ascontiguousarray((one << comp).T)
-    enc_pow = raw_pow if order == "desc" else comp_pow
+    encoded = pool if order == "desc" else tuple(full ^ m for m in pool)
+    steps, high = _orbit_lanes(n, encoded)
+    base = _member_counts(0, n)
+    if require_universe:
+        base += _member_counts(full, n)
     return _Search(
         n=n,
         t=t,
@@ -203,9 +276,10 @@ def _search_context(n: int, t: int, require_universe: bool, order: str) -> _Sear
         full=full,
         pool=pool,
         utab=tuple(utab),
-        enc_pow=enc_pow,
-        comp_pow=comp_pow,
-        nperms=len(_perms(n)),
+        cols=tuple(_member_counts(m, n) for m in pool),
+        base=base,
+        steps=steps,
+        high=high,
     )
 
 
@@ -213,30 +287,29 @@ def _context_for(c: EnumerationConstraints, order: str) -> _Search:
     return _search_context(c.n, c.t, c.require_universe, order)
 
 
-def _emit(ctx: _Search, iso: bool, visit: Visit | None, chosen: list[int]) -> SetFamily | None:
-    if visit is None:
-        return None
+@lru_cache(maxsize=8)
+def _desc_relabel_table(n: int, t: int, require_universe: bool):
+    return _comp_powers(n, _search_context(n, t, require_universe, "desc").pool).T.copy()
+
+
+def _family(ctx: _Search, iso: bool, chosen: Sequence[int]) -> SetFamily:
     masks = [ctx.pool[p] for p in chosen]
     if iso and ctx.order == "desc" and masks:
         # translate the search-internal representative into the public
         # canonical one (ascending-order search already produces it)
-        enc = ctx.comp_pow[chosen].sum(axis=0)
-        perm = _perms(ctx.n)[int(np.argmax(enc))]
+        enc = _desc_relabel_table(ctx.n, ctx.t, ctx.require_universe)[list(chosen)].sum(axis=0)
+        perm = _perms(ctx.n)[int(enc.argmax())]
         masks = [relabel_mask(m, perm) for m in masks]
     masks.append(0)
     if ctx.require_universe:
         masks.append(ctx.full)
-    family = SetFamily(ctx.n, tuple(sorted(masks)))
-    visit(family)
-    return family
+    return SetFamily(ctx.n, tuple(sorted(masks)))
 
 
-def _canonical_step(enc: np.ndarray, col: np.ndarray) -> np.ndarray | None:
-    """Extend an orbit-encoding vector by one member; None if not canonical."""
-    enc2 = enc + col
-    if enc2.max() != enc2[0]:
-        return None
-    return enc2
+def node_family(c: EnumerationConstraints, chosen: Sequence[int], *, order: str = "desc") -> SetFamily:
+    """The family behind a counter visit's chosen positions, exactly as
+    enumerate_families visits it in the same order."""
+    return _family(_context_for(c, order), c.up_to_iso, chosen)
 
 
 def _filter_viable(ctx: _Search, viable: int, p: int, present: int) -> int:
@@ -257,28 +330,30 @@ def _filter_viable(ctx: _Search, viable: int, p: int, present: int) -> int:
 def _walk_desc(
     ctx: _Search,
     iso: bool,
-    visit: Visit | None,
+    visit: CounterVisit | None,
     pos0: int,
     present: int,
     viable: int,
-    enc: np.ndarray | None,
+    enc: int,
     chosen: list[int],
+    counts: int,
 ) -> int:
     # every node is a complete family: unions of accepted masks are
     # numerically larger, hence already decided and present
-    _emit(ctx, iso, visit, chosen)
+    if visit is not None:
+        visit(chosen, counts)
     count = 1
+    steps, high, cols = ctx.steps, ctx.high, ctx.cols
     rem = viable & ~((1 << pos0) - 1)
     while rem:
         low = rem & -rem
         p = low.bit_length() - 1
         rem ^= low
+        enc2 = enc
         if iso:
-            enc2 = _canonical_step(enc, ctx.enc_pow[p])
-            if enc2 is None:
+            enc2 = enc + steps[p]
+            if enc2 & high != high:
                 continue
-        else:
-            enc2 = None
         chosen.append(p)
         count += _walk_desc(
             ctx,
@@ -289,6 +364,7 @@ def _walk_desc(
             _filter_viable(ctx, viable, p, present),
             enc2,
             chosen,
+            counts + cols[p],
         )
         chosen.pop()
     return count
@@ -297,12 +373,12 @@ def _walk_desc(
 def _walk_asc(
     ctx: _Search,
     iso: bool,
-    visit: Visit | None,
+    visit: CounterVisit | None,
     pos0: int,
-    present: int,
     forced: int,
-    enc: np.ndarray | None,
+    enc: int,
     chosen: list[int],
+    counts: int,
 ) -> int:
     pending = forced >> pos0
     if pending:
@@ -310,16 +386,17 @@ def _walk_asc(
         hi = pos0 + (pending & -pending).bit_length() - 1  # must take the
         # lowest forced candidate no later than its own position
     else:
-        _emit(ctx, iso, visit, chosen)
+        if visit is not None:
+            visit(chosen, counts)
         count = 1
         hi = ctx.size - 1
+    steps, high, cols = ctx.steps, ctx.high, ctx.cols
     for p in range(pos0, hi + 1):
+        enc2 = enc
         if iso:
-            enc2 = _canonical_step(enc, ctx.enc_pow[p])
-            if enc2 is None:
+            enc2 = enc + steps[p]
+            if enc2 & high != high:
                 continue
-        else:
-            enc2 = None
         forced2 = forced
         row = ctx.utab[p]
         for b in chosen:
@@ -327,13 +404,9 @@ def _walk_asc(
             if u >= 0:
                 forced2 |= 1 << u
         chosen.append(p)
-        count += _walk_asc(ctx, iso, visit, p + 1, present | (1 << p), forced2, enc2, chosen)
+        count += _walk_asc(ctx, iso, visit, p + 1, forced2, enc2, chosen, counts + cols[p])
         chosen.pop()
     return count
-
-
-def _fresh_enc(ctx: _Search, iso: bool) -> np.ndarray | None:
-    return np.zeros(ctx.nperms, dtype=np.uint64) if iso else None
 
 
 def enumerate_families(
@@ -352,11 +425,16 @@ def enumerate_families(
     """
     ensure_enumerable(c, unbounded)
     ctx = _context_for(c, order)
-    enc = _fresh_enc(ctx, c.up_to_iso)
+    iso = c.up_to_iso
+
+    def emit(chosen: list[int], counts: int) -> None:
+        visit(_family(ctx, iso, chosen))
+
+    sink = None if visit is None else emit
     if order == "desc":
         viable = (1 << ctx.size) - 1
-        return _walk_desc(ctx, c.up_to_iso, visit, 0, 0, viable, enc, [])
-    return _walk_asc(ctx, c.up_to_iso, visit, 0, 0, 0, enc, [])
+        return _walk_desc(ctx, iso, sink, 0, 0, viable, ctx.high, [], ctx.base)
+    return _walk_asc(ctx, iso, sink, 0, 0, ctx.high, [], ctx.base)
 
 
 def job_depth(c: EnumerationConstraints, order: str = "desc") -> int:
@@ -379,7 +457,7 @@ def job_label(c: EnumerationConstraints, job: int, order: str = "desc") -> str:
 def enumerate_job(
     c: EnumerationConstraints,
     job: int,
-    visit: Visit | None = None,
+    visit: CounterVisit | None = None,
     *,
     order: str = "desc",
     unbounded: bool = False,
@@ -388,16 +466,19 @@ def enumerate_job(
 
     Replays the job's fixed decisions with the same closure and
     canonicity tests the full search applies, so invalid assignments
-    cost nothing and no family is visited by two different jobs.
+    cost nothing and no family is visited by two different jobs.  The
+    visit gets each family's chosen positions and packed counters, and
+    no family is built (node_family builds one).
     """
     ensure_enumerable(c, unbounded)
     ctx = _context_for(c, order)
     depth = job_depth(c, order)
     iso = c.up_to_iso
-    enc = _fresh_enc(ctx, iso)
+    enc = ctx.high
+    counts = ctx.base
     chosen: list[int] = []
-    present = 0
     if order == "desc":
+        present = 0
         viable = (1 << ctx.size) - 1
         for i in range(depth):
             if not job >> i & 1:
@@ -405,30 +486,31 @@ def enumerate_job(
             if not viable >> i & 1:
                 return 0
             if iso:
-                enc = _canonical_step(enc, ctx.enc_pow[i])
-                if enc is None:
+                enc += ctx.steps[i]
+                if enc & ctx.high != ctx.high:
                     return 0
             viable = _filter_viable(ctx, viable, i, present)
             present |= 1 << i
             chosen.append(i)
-        return _walk_desc(ctx, iso, visit, depth, present, viable, enc, chosen)
+            counts += ctx.cols[i]
+        return _walk_desc(ctx, iso, visit, depth, present, viable, enc, chosen, counts)
     forced = 0
     for i in range(depth):
         if job >> i & 1:
             if iso:
-                enc = _canonical_step(enc, ctx.enc_pow[i])
-                if enc is None:
+                enc += ctx.steps[i]
+                if enc & ctx.high != ctx.high:
                     return 0
             row = ctx.utab[i]
             for b in chosen:
                 u = row[b]
                 if u >= 0:
                     forced |= 1 << u
-            present |= 1 << i
             chosen.append(i)
+            counts += ctx.cols[i]
         elif forced >> i & 1:
             return 0
-    return _walk_asc(ctx, iso, visit, depth, present, forced, enc, chosen)
+    return _walk_asc(ctx, iso, visit, depth, forced, enc, chosen, counts)
 
 
 def brute_force_enumerate(c: EnumerationConstraints) -> list[SetFamily]:
@@ -439,6 +521,8 @@ def brute_force_enumerate(c: EnumerationConstraints) -> list[SetFamily]:
     constrained n=6 slices with t >= 4.  Intentionally shares no code
     with the orderly search.
     """
+    import numpy as np
+
     if c.n > MAX_ENUM_GROUND:
         raise InfeasibleScale(f"oracle is supported for n <= {MAX_ENUM_GROUND}, got n={c.n}")
     full = full_mask(c.n)

@@ -8,7 +8,7 @@ comments are ignored.  Duplicate members are a parse error.
 
 from __future__ import annotations
 
-from .core import SetFamily, elements_of_mask, mask_from_elements
+from .core import MAX_GROUND_SIZE, MIN_GROUND_SIZE, SetFamily, elements_of_mask, mask_from_elements
 from .errors import ParseError
 
 
@@ -28,8 +28,8 @@ def parse_family(text: str) -> SetFamily:
                 n = int(line[2:])
             except ValueError:
                 raise ParseError(f"bad ground set size {line[2:]!r}", lineno)
-            if not 2 <= n <= 12:
-                raise ParseError(f"ground set size {n} outside 2..12", lineno)
+            if not MIN_GROUND_SIZE <= n <= MAX_GROUND_SIZE:
+                raise ParseError(f"ground set size {n} outside {MIN_GROUND_SIZE}..{MAX_GROUND_SIZE}", lineno)
             continue
         mask = _parse_member(line, n, lineno)
         if mask in seen:

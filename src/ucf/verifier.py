@@ -33,9 +33,9 @@ from .core import (
     union_closure,
 )
 from .decomposition import (
+    SHAPE_TAGS,
     AbundanceWitness,
     PairDecomposition,
-    _shape_tag,
     abundance_witness,
     classify_shape,
     pair_decompose,
@@ -46,13 +46,13 @@ from .enumeration import (
     enumerate_job,
     job_depth,
     job_label,
+    node_family,
+    split_counts,
     subtree_jobs,
 )
 from .errors import (
     CampaignIncomplete,
-    DegenerateFamily,
     NoNonemptyMember,
-    NotApplicable,
     NotInScope,
     PreconditionViolation,
     WitnessUnavailable,
@@ -81,36 +81,46 @@ def _failure_record(check: str, family: SetFamily, extra: dict | None = None) ->
     return record
 
 
-def _check_frankl(family: SetFamily) -> dict | None:
-    try:
-        ok = frankl_holds(family)
-    except DegenerateFamily:
-        return None
-    return None if ok else _failure_record("frankl", family)
+def _check_failure(check: str, family: SetFamily) -> dict:
+    """The counterexample record of a family that failed check."""
+    extra = None
+    if check == "lemma_1_2_spot":
+        coatoms = family.members_of_size(family.n - 1)
+        if len(coatoms) >= 2:
+            result = lemma_1_2_bound(full_mask(family.n), SetFamily(family.n, coatoms))
+            extra = {"min_freq": result.min_freq}
+    return _failure_record(check, family, extra)
 
 
-def _check_s_frankl(family: SetFamily) -> dict | None:
-    try:
-        ok = s_frankl_holds(family)
-    except (NoNonemptyMember, NotApplicable):
-        return None
-    return None if ok else _failure_record("s_frankl", family)
+# Each check reads two counters of one enumerated family, T(F) (0 when
+# no member is nonempty) and its number of abundant elements, and says
+# whether the family passes; a statement that says nothing passes.
 
 
-def _check_lemma_1_2_spot(family: SetFamily) -> dict | None:
-    coatoms = family.members_of_size(family.n - 1)
-    if len(coatoms) < 2:
-        return None
-    result = lemma_1_2_bound(full_mask(family.n), SetFamily(family.n, coatoms))
-    if result.holds:
-        return None
-    return _failure_record("lemma_1_2_spot", family, {"min_freq": result.min_freq})
+def _frankl_ok(t: int, abundant: int) -> bool:
+    """frankl_holds, which needs a nonempty member."""
+    return abundant > 0 or not t
+
+
+def _s_frankl_ok(t: int, abundant: int) -> bool:
+    """s_frankl_holds, which needs T(F) >= 2."""
+    return t < 2 or abundant >= t
+
+
+def _lemma_1_2_spot_ok(t: int, abundant: int) -> bool:
+    """lemma_1_2_bound(M_n, G) on the co-atoms G of an enumerated family.
+
+    Distinct co-atoms of M_n miss distinct single elements, so with
+    |G| >= 2 every element lies in |G| or |G| - 1 of them: min_freq is
+    |G| - 1, the bound holds for every family, and no counter is needed.
+    """
+    return True
 
 
 CHECK_FNS = {
-    "frankl": _check_frankl,
-    "s_frankl": _check_s_frankl,
-    "lemma_1_2_spot": _check_lemma_1_2_spot,
+    "frankl": _frankl_ok,
+    "s_frankl": _s_frankl_ok,
+    "lemma_1_2_spot": _lemma_1_2_spot_ok,
 }
 
 
@@ -161,48 +171,83 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
+class _JobTally:
+    """Per-job totals, read off the walk's counters family by family.
+
+    The checks are pure functions of (T, abundant count), so their
+    verdicts are tabulated once per job.  A SetFamily is built only for
+    a family that fails a check, and it is the same canonical
+    representative enumerate_families visits.
+    """
+
+    def __init__(self, c: EnumerationConstraints, order: str, checks: Sequence[str], lemma_every: int):
+        n = self.n = c.n
+        self.c = c
+        self.order = order
+        self.lemma_every = lemma_every
+        self.shape_mode = n == 6 and c.t == 3
+        # failing[t][a]: the checks a family with T = t and a abundant elements fails
+        self.failing = [
+            [tuple(name for name in checks if not CHECK_FNS[name](t, a)) for a in range(n + 1)]
+            for t in range(n + 1)
+        ]
+        # a 1 in each element's byte of the packed frequencies, and its top bit
+        self.ones = int.from_bytes(b"\x01" * n, "little")
+        self.high = self.ones << 7
+        self.visited = 0
+        self.t_counts = [0] * (n + 1)
+        self.shape_counts = [0] * len(SHAPE_TAGS)
+        self.failures: list[dict] = []
+
+    def visit(self, chosen: list[int], counts: int) -> None:
+        self.visited += 1
+        m, freq, levels, t = split_counts(self.n, counts)
+        self.t_counts[t] += 1
+        if self.shape_mode and t == 3 and levels >> 48:  # byte 6: M_6 is a member
+            self.shape_counts[2 * (levels >> 32 & 0xFF > 0) + (levels >> 40 & 0xFF > 0)] += 1
+        fails = self.failing[t][self.abundant(m, freq)]
+        if fails:
+            self._record(fails, chosen)
+
+    def abundant(self, m: int, freq: int) -> int:
+        """How many elements lie in at least half of the m members."""
+        # byte e-1 becomes 0x80 + 2*freq(e) - m, which keeps its top bit
+        # iff element e is abundant; n <= 6 keeps every byte in 0x40..0xC0
+        return (((freq << 1) + self.high - m * self.ones) & self.high).bit_count()
+
+    def _record(self, fails: tuple[str, ...], chosen: list[int]) -> None:
+        family = node_family(self.c, chosen, order=self.order)
+        for name in fails:
+            if name == "lemma_1_2_spot" and (self.visited - 1) % self.lemma_every:
+                continue
+            self.failures.append(_check_failure(name, family))
+
+    def by_t(self) -> dict[int, int]:
+        return {t: k for t, k in enumerate(self.t_counts) if k}
+
+    def by_shape(self) -> dict[str, int]:
+        return {tag: k for tag, k in zip(SHAPE_TAGS, self.shape_counts) if k}
+
+
 def _job_worker(payload: tuple) -> dict:
     (n, t, require_universe, up_to_iso, order, checks, lemma_every, unbounded, job) = payload
     c = EnumerationConstraints(n, t, require_universe, up_to_iso)
-    shape_mode = n == 6 and t == 3
-    full = full_mask(n)
-    by_t: dict[int, int] = {}
-    by_shape: dict[str, int] = {}
-    failures: list[dict] = []
-    visited = 0
-
-    def visit(family: SetFamily) -> None:
-        nonlocal visited
-        visited += 1
-        try:
-            tv = t_value(family)
-        except NoNonemptyMember:
-            tv = 0
-        by_t[tv] = by_t.get(tv, 0) + 1
-        if shape_mode and tv == 3 and full in set(family.members):
-            # enumerated families are union-closed with the empty set
-            # included, so the full classify_shape guards are redundant
-            levels = level_profile(family)
-            tag = _shape_tag(levels.counts[4] > 0, levels.counts[5] > 0)
-            by_shape[tag] = by_shape.get(tag, 0) + 1
-        for name in checks:
-            if name == "lemma_1_2_spot" and lemma_every > 1 and (visited - 1) % lemma_every:
-                continue
-            failure = CHECK_FNS[name](family)
-            if failure is not None:
-                failures.append(failure)
-
-    count = enumerate_job(c, job, visit, order=order, unbounded=unbounded)
-    if count != visited:
-        raise AssertionError(f"visit stream ({visited}) disagrees with count ({count})")
+    tally = _JobTally(c, order, checks, lemma_every)
+    count = enumerate_job(c, job, tally.visit, order=order, unbounded=unbounded)
+    if count != tally.visited:
+        raise AssertionError(f"visit stream ({tally.visited}) disagrees with count ({count})")
     return {
         "job": job,
         "label": job_label(c, job, order),
         "count": count,
-        "by_t": by_t,
-        "by_shape": by_shape,
-        "failures": failures,
+        "by_t": tally.by_t(),
+        "by_shape": tally.by_shape(),
+        "failures": tally.failures,
     }
+
+
+def _header_line(header: dict) -> str:
+    return f"# campaign {json.dumps(header, sort_keys=True)}\n"
 
 
 def _checkpoint_header(c: EnumerationConstraints, order: str, checks: Sequence[str], lemma_every: int) -> dict:
@@ -218,28 +263,49 @@ def _checkpoint_header(c: EnumerationConstraints, order: str, checks: Sequence[s
     }
 
 
-def _load_checkpoint(path: str, header: dict) -> dict[int, dict]:
-    """Completed job records from an earlier run of the same campaign."""
+def _checkpoint_json(path: str, lineno: int, text: str):
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise PreconditionViolation(f"checkpoint {path} line {lineno}: {exc}") from None
+
+
+def _load_checkpoint(path: str, header: dict, job_count: int) -> tuple[dict[int, dict], int]:
+    """Completed job records from an earlier run of the same campaign,
+    and the length of the file's prefix that holds whole lines.
+
+    A run stopped in the middle of a write leaves an unterminated last
+    line; it is not read, and the job it belonged to runs again.
+    """
     if not os.path.exists(path):
-        return {}
+        return {}, 0
+    with open(path, "rb") as fh:
+        data = fh.read()
+    keep = data.rfind(b"\n") + 1
+    if not keep and not _header_line(header).encode().startswith(data):
+        raise PreconditionViolation(f"checkpoint {path} has no campaign header line")
     done: dict[int, dict] = {}
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
     seen_header = False
-    for line in lines:
+    for lineno, raw in enumerate(data[:keep].splitlines(), start=1):
+        line = raw.decode("utf-8", errors="replace")
         if line.startswith("# campaign "):
-            stored = json.loads(line[len("# campaign "):])
+            stored = _checkpoint_json(path, lineno, line[len("# campaign "):])
             if stored != header:
                 raise PreconditionViolation(
                     f"checkpoint {path} belongs to a different campaign: {stored} != {header}"
                 )
             seen_header = True
         elif line.startswith("# agg "):
-            record = json.loads(line[len("# agg "):])
-            done[record["job"]] = record
-    if lines and not seen_header:
+            record = _checkpoint_json(path, lineno, line[len("# agg "):])
+            job = record.get("job") if isinstance(record, dict) else None
+            if not isinstance(job, int) or not 0 <= job < job_count:
+                raise PreconditionViolation(f"checkpoint {path} line {lineno}: job {job!r} outside 0..{job_count - 1}")
+            if job in done:
+                raise PreconditionViolation(f"checkpoint {path} line {lineno}: job {job} recorded twice")
+            done[job] = record
+    if keep and not seen_header:
         raise PreconditionViolation(f"checkpoint {path} has no campaign header line")
-    return done
+    return done, keep
 
 
 def _dump_counterexample(directory: str, failure: dict) -> str:
@@ -284,16 +350,16 @@ def run_campaign(
     start = time.perf_counter()
     jobs = subtree_jobs(c, order)
     header = _checkpoint_header(c, order, checks, lemma_every)
-    done = _load_checkpoint(checkpoint, header) if checkpoint else {}
+    done, keep = _load_checkpoint(checkpoint, header, len(jobs)) if checkpoint else ({}, 0)
     pending = [j for j in jobs if j not in done]
     todo = pending if max_jobs is None else pending[:max_jobs]
 
     ck_fh = None
     if checkpoint:
-        fresh = not os.path.exists(checkpoint) or os.path.getsize(checkpoint) == 0
         ck_fh = open(checkpoint, "a", encoding="utf-8")
-        if fresh:
-            ck_fh.write(f"# campaign {json.dumps(header, sort_keys=True)}\n")
+        ck_fh.truncate(keep)  # drop a torn last line
+        if not keep:
+            ck_fh.write(_header_line(header))
             ck_fh.flush()
 
     results: dict[int, dict] = {}
@@ -301,8 +367,11 @@ def run_campaign(
     def consume(record: dict) -> None:
         results[record["job"]] = record
         if ck_fh is not None:
-            ck_fh.write(f"subtree={record['label']} count={record['count']}\n")
-            ck_fh.write(f"# agg {json.dumps(record, sort_keys=True)}\n")
+            # one write per job, so an interruption tears at most the last line
+            ck_fh.write(
+                f"subtree={record['label']} count={record['count']}\n"
+                f"# agg {json.dumps(record, sort_keys=True)}\n"
+            )
             ck_fh.flush()
         if counterexample_dir:
             for failure in record["failures"]:

@@ -59,8 +59,8 @@ def test_criterion_1_main_theorem_exhaustive_n6_t3(tmp_path):
     """Every isomorphism class of union-closed F over M_6 with
     emptyset, M_6 in F and T(F) = 3 is visited, with zero failures of
     the at-least-three-abundant-elements statement.  The run is split
-    across a checkpoint to prove resumability; a single sandbox core
-    finishes in about half a minute, far inside the 8-worker hour."""
+    across a checkpoint to prove resumability; a single core finishes
+    in about 4.5 seconds, far inside the 8-worker hour."""
     c = EnumerationConstraints(6, 3, up_to_iso=True)
     checkpoint = str(tmp_path / "flagship.ck")
     with pytest.raises(CampaignIncomplete):

@@ -170,8 +170,8 @@ class TestVerify:
         assert json.loads(open(report_path).read())["workers"] == 1
 
     def test_counterexamples_exit_one_and_dump(self, tmp_path, capsys, monkeypatch):
-        def always_fail(family):
-            return verifier._failure_record("frankl", family)
+        def always_fail(t, abundant):
+            return False
 
         monkeypatch.setitem(verifier.CHECK_FNS, "frankl", always_fail)
         monkeypatch.chdir(tmp_path)
@@ -196,6 +196,16 @@ class TestVerify:
         assert main(args) == 0
         second = capsys.readouterr().out
         assert "families_total: 2271" in first and "families_total: 2271" in second
+
+    def test_torn_checkpoint_resumes(self, tmp_path, capsys):
+        ck = tmp_path / "run.ck"
+        args = ["verify", "--n", "5", "--t", "3", "--workers", "1", "--checkpoint", str(ck)]
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        ck.write_bytes(ck.read_bytes()[:-40])
+        assert main(args) == 0
+        second = capsys.readouterr().out
+        assert first.split("wall_time")[0] == second.split("wall_time")[0]
 
 
 class TestParserPlumbing:

@@ -27,6 +27,7 @@ from ucf import (
     subtree_jobs,
     t_value,
 )
+from ucf.enumeration import node_family
 
 # counts frozen from the brute-force oracle at n <= 4 and cross-checked
 # between the two candidate orderings at n = 5
@@ -208,9 +209,9 @@ class TestJobPartition:
         total = 0
         seen: list[tuple[int, ...]] = []
         for job in subtree_jobs(c, order):
-            got: list[SetFamily] = []
-            total += enumerate_job(c, job, got.append, order=order)
-            seen.extend(f.members for f in got)
+            got: list[int] = []
+            total += enumerate_job(c, job, lambda chosen, counts: got.append(chosen[:]), order=order)
+            seen.extend(node_family(c, chosen, order=order).members for chosen in got)
         assert total == len(serial)
         assert sorted(seen) == sorted(f.members for f in serial)
 

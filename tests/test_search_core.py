@@ -1,0 +1,197 @@
+"""The counters and the packed orbit test of the orderly search, checked
+against the plain family functions and a plain permutation scan."""
+
+from __future__ import annotations
+
+import itertools
+import os
+import subprocess
+import sys
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ucf
+import ucf.enumeration as enumeration
+import ucf.verifier as verifier
+from ucf import (
+    CHECK_NAMES,
+    DegenerateFamily,
+    EnumerationConstraints,
+    NoNonemptyMember,
+    NotApplicable,
+    SetFamily,
+    enumerate_families,
+    enumerate_job,
+    frankl_holds,
+    frequency_profile,
+    full_mask,
+    lemma_1_2_bound,
+    level_profile,
+    relabel_mask,
+    s_frankl_holds,
+    subtree_jobs,
+    t_value,
+    union_closure,
+)
+from ucf.enumeration import node_family, split_counts
+
+
+def lanes(packed: int, count: int) -> tuple[int, ...]:
+    return tuple(packed.to_bytes(count, "little"))
+
+
+def assert_counters_match(family: SetFamily, counters: tuple[int, int, int, int], relabeled: bool = False) -> None:
+    """The walk's counters, and the verdicts the campaign reads from
+    them, equal the plain functions on the built family.  A relabeled
+    family has its element frequencies permuted."""
+    n = family.n
+    m, freq, levels, t = counters
+    prof = frequency_profile(family)
+    assert m == family.m
+    if relabeled:
+        assert sorted(lanes(freq, n)) == sorted(prof.freq)
+    else:
+        assert lanes(freq, n) == prof.freq
+    assert lanes(levels, n + 1) == level_profile(family).counts
+    try:
+        assert t == t_value(family)
+    except NoNonemptyMember:
+        assert t == 0
+
+    tally = verifier._JobTally(EnumerationConstraints(n, 1), "desc", CHECK_NAMES, 1)
+    abundant = tally.abundant(m, freq)
+    assert abundant == len(prof.abundant)
+    fails = tally.failing[t][abundant]
+    try:
+        assert ("frankl" not in fails) == frankl_holds(family)
+    except DegenerateFamily:
+        assert "frankl" not in fails
+    try:
+        assert ("s_frankl" not in fails) == s_frankl_holds(family)
+    except (NoNonemptyMember, NotApplicable):
+        assert "s_frankl" not in fails
+    coatoms = family.members_of_size(n - 1)
+    assert lanes(levels, n + 1)[n - 1] == len(coatoms)
+    if len(coatoms) >= 2:
+        # the identity that lets lemma_1_2_spot pass on the count alone
+        bound = lemma_1_2_bound(full_mask(n), SetFamily(n, coatoms))
+        assert bound == (len(coatoms) - 1, True)
+    assert "lemma_1_2_spot" not in fails
+
+
+def walk_counters(c: EnumerationConstraints, order: str) -> dict[tuple[int, ...], tuple[int, int, int, int]]:
+    """Every family of the walk, keyed by its members, with its counters."""
+    out = {}
+
+    def visit(chosen, counts):
+        out[node_family(c, chosen, order=order).members] = split_counts(c.n, counts)
+
+    count = sum(enumerate_job(c, job, visit, order=order) for job in subtree_jobs(c, order))
+    assert count == len(out)
+    return out
+
+
+@lru_cache(maxsize=None)
+def labelled_counters(n: int, t: int, universe: bool) -> dict:
+    return walk_counters(EnumerationConstraints(n, t, universe), "desc")
+
+
+@st.composite
+def closed_families(draw):
+    """A union-closed family with the empty set: n = 2..4 with any T,
+    or n = 5 with T >= 3; with or without M_n."""
+    n = draw(st.integers(2, 5))
+    t = 1 if n <= 4 else 3
+    masks = st.integers(1, full_mask(n)).filter(lambda mask: mask.bit_count() >= t)
+    family = union_closure(SetFamily.from_masks(n, draw(st.sets(masks, max_size=6))))
+    extra = [0, full_mask(n)] if draw(st.booleans()) else [0]
+    return t, SetFamily.from_masks(n, family.members + tuple(extra))
+
+
+class TestCounters:
+    @settings(max_examples=300, deadline=None)
+    @given(closed_families())
+    def test_counters_match_family_functions(self, drawn):
+        t, family = drawn
+        universe = full_mask(family.n) in family
+        counters = labelled_counters(family.n, t, universe)[family.members]
+        assert_counters_match(family, counters)
+
+    def test_edge_families(self):
+        # {} alone, a T=1 family and a family without M_n
+        alone = SetFamily(4, (0,))
+        assert_counters_match(alone, labelled_counters(4, 1, False)[alone.members])
+        t1 = SetFamily.from_masks(3, (0, 1, 3, 7))
+        assert_counters_match(t1, labelled_counters(3, 1, True)[t1.members])
+        open_top = SetFamily.from_masks(4, (0, 3, 5, 7))
+        assert_counters_match(open_top, labelled_counters(4, 1, False)[open_top.members])
+
+    @pytest.mark.parametrize("order", enumeration.ORDERS)
+    @pytest.mark.parametrize("iso", [False, True])
+    @pytest.mark.parametrize("universe", [True, False])
+    def test_every_node_of_small_walks(self, order, iso, universe):
+        # the descending walk keeps its own orbit representatives, and
+        # node_family relabels them to the public canonical ones
+        relabeled = iso and order == "desc"
+        for n, t in ((3, 1), (4, 1), (4, 2)):
+            c = EnumerationConstraints(n, t, universe, iso)
+            for members, counters in walk_counters(c, order).items():
+                assert_counters_match(SetFamily(n, members), counters, relabeled)
+
+    def test_counter_visit_matches_family_visit(self):
+        c = EnumerationConstraints(5, 3, up_to_iso=True)
+        families = []
+        enumerate_families(c, families.append)
+        assert sorted(f.members for f in families) == sorted(walk_counters(c, "desc"))
+
+
+def plain_canonical(n: int, encoded: list[int]) -> bool:
+    """The identity attains the orbit maximum of sum(2^mask)."""
+    identity = sum(2**e for e in encoded)
+    return all(
+        identity >= sum(2 ** relabel_mask(e, perm) for e in encoded)
+        for perm in itertools.permutations(range(n))
+    )
+
+
+class TestPackedOrbitTest:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(4, 6), st.sampled_from(enumeration.ORDERS), st.data())
+    def test_matches_plain_permutation_scan(self, n, order, data):
+        ctx = enumeration._search_context(n, 1, True, order)
+        chosen = sorted(data.draw(st.sets(st.integers(0, ctx.size - 1), max_size=10)))
+        encode = (lambda mask: mask) if order == "desc" else (lambda mask: ctx.full ^ mask)
+
+        def packed(positions) -> bool:
+            enc = ctx.high + sum(ctx.steps[p] for p in positions)
+            return enc & ctx.high == ctx.high
+
+        encoded = [encode(ctx.pool[p]) for p in chosen]
+        assert packed(chosen) == plain_canonical(n, encoded)
+        # the orbit maximum of the same member set passes both tests
+        best = max(
+            itertools.permutations(range(n)),
+            key=lambda perm: sum(2 ** relabel_mask(e, perm) for e in encoded),
+        )
+        pos = {mask: i for i, mask in enumerate(ctx.pool)}
+        image = [pos[relabel_mask(ctx.pool[p], best)] for p in chosen]
+        assert packed(image)
+        assert plain_canonical(n, [encode(ctx.pool[p]) for p in image])
+
+
+def test_campaigns_run_without_numpy():
+    src = os.path.dirname(os.path.dirname(ucf.__file__))
+    code = (
+        "import sys, ucf, ucf.cli\n"
+        "from ucf import EnumerationConstraints, run_campaign\n"
+        "report = run_campaign(EnumerationConstraints(5, 3, up_to_iso=True))\n"
+        "assert report.families_total == 119 and not report.counterexamples\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

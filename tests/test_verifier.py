@@ -19,14 +19,16 @@ from ucf import (
     frequency_profile,
     parse_family,
     run_campaign,
+    subtree_jobs,
     union_closure,
 )
 
 N3T1 = EnumerationConstraints(3, 1)
 
 
-def always_fail(family: SetFamily) -> dict:
-    return verifier._failure_record("frankl", family)
+def always_fail(t: int, abundant: int) -> bool:
+    """A check predicate that fails every family."""
+    return False
 
 
 class TestRunCampaign:
@@ -140,6 +142,29 @@ class TestCounterexamplePlumbing:
         assert prof.m == record["m"]
         assert sorted(prof.abundant) == record["abundant"]
 
+    def test_forced_failures_name_the_canonical_families(self, monkeypatch):
+        monkeypatch.setitem(verifier.CHECK_FNS, "frankl", always_fail)
+        c = EnumerationConstraints(4, 2, up_to_iso=True)
+        desc = run_campaign(c, checks=("frankl",), order="desc")
+        asc = run_campaign(c, checks=("frankl",), order="asc")
+        assert desc.body_bytes() == asc.body_bytes()
+        families = sorted(verifier.format_family(f) for f in brute_force_enumerate(c))
+        assert [r["family"] for r in desc.counterexamples] == families
+
+    def test_lemma_failures_follow_the_sampling(self, monkeypatch):
+        # sampling counts families per job; n=3 t=1 is a single job of 45
+        monkeypatch.setitem(verifier.CHECK_FNS, "lemma_1_2_spot", always_fail)
+        every = run_campaign(N3T1, checks=("lemma_1_2_spot",))
+        assert len(every.counterexamples) == every.families_total == 45
+        sampled = run_campaign(N3T1, checks=("lemma_1_2_spot",), lemma_every=7)
+        assert len(sampled.counterexamples) == 7
+        for record in every.counterexamples:
+            coatoms = parse_family(record["family"]).members_of_size(2)
+            if len(coatoms) >= 2:
+                assert record["min_freq"] == len(coatoms) - 1
+            else:
+                assert "min_freq" not in record
+
     def test_real_run_finds_nothing(self, tmp_path):
         ce_dir = tmp_path / "ces"
         report = run_campaign(
@@ -181,6 +206,44 @@ class TestCheckpoint:
         ck.write_text("subtree=- count=3\n")
         with pytest.raises(PreconditionViolation):
             run_campaign(EnumerationConstraints(4, 2), checkpoint=str(ck))
+
+    def test_torn_checkpoint_resumes_at_every_byte(self, tmp_path):
+        c = EnumerationConstraints(4, 2)
+        ck = tmp_path / "run.ck"
+        fresh = run_campaign(c, checkpoint=str(ck)).body_bytes()
+        data = ck.read_bytes()
+        for cut in range(len(data)):
+            ck.write_bytes(data[:cut])
+            assert run_campaign(c, checkpoint=str(ck)).body_bytes() == fresh, cut
+            lines = ck.read_text().splitlines(keepends=True)
+            assert lines[0].startswith("# campaign ") and lines[-1].endswith("\n"), cut
+            assert sum(1 for ln in lines if ln.startswith("# agg ")) == len(subtree_jobs(c)), cut
+
+    def test_foreign_unterminated_file_is_not_truncated(self, tmp_path):
+        ck = tmp_path / "run.ck"
+        ck.write_text("not a checkpoint")
+        with pytest.raises(PreconditionViolation):
+            run_campaign(EnumerationConstraints(4, 2), checkpoint=str(ck))
+        assert ck.read_text() == "not a checkpoint"
+
+    def test_bad_job_records_rejected(self, tmp_path):
+        c = EnumerationConstraints(4, 2)
+        ck = tmp_path / "run.ck"
+        run_campaign(c, checkpoint=str(ck))
+        lines = ck.read_text().splitlines(keepends=True)
+        agg = next(ln for ln in lines if ln.startswith("# agg "))
+        ck.write_text("".join(lines) + agg)
+        with pytest.raises(PreconditionViolation, match="recorded twice"):
+            run_campaign(c, checkpoint=str(ck))
+        record = json.loads(agg[len("# agg "):])
+        for job in (len(subtree_jobs(c)), -1, "0"):
+            record["job"] = job
+            ck.write_text(lines[0] + f"# agg {json.dumps(record)}\n")
+            with pytest.raises(PreconditionViolation, match="outside"):
+                run_campaign(c, checkpoint=str(ck))
+        ck.write_text(lines[0] + "# agg {\n")
+        with pytest.raises(PreconditionViolation, match="line 2"):
+            run_campaign(c, checkpoint=str(ck))
 
     def test_count_lines_alone_do_not_mark_jobs_done(self, tmp_path):
         # progress lines without their aggregate records are re-run
