@@ -8,12 +8,13 @@ counterexamples found, 2 = parse, scope, or feasibility errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 
 from .core import union_closure
-from .enumeration import EnumerationConstraints, brute_force_enumerate, enumerate_families
+from .enumeration import MAX_ENUM_GROUND, EnumerationConstraints, brute_force_enumerate, enumerate_families
 from .errors import CampaignIncomplete, ParseError, UcfError
 from .fileformat import format_family, parse_family
 from .verifier import CHECK_NAMES, check_single, run_campaign
@@ -24,18 +25,21 @@ def _read_family(path: str):
         return parse_family(fh.read())
 
 
-def _write_lines(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+# the decimal names of every mask an enumerable family can hold
+_MASK_NAMES = [str(m) for m in range(1 << MAX_ENUM_GROUND)]
+_LINES_PER_WRITE = 1 << 14
 
 
-def _render_lines(member_tuples: list[tuple[int, ...]]) -> list[str]:
-    member_tuples.sort()
-    return [",".join(str(m) for m in members) for members in member_tuples]
+def _write_listing(keys: list[bytes], out: str | None) -> None:
+    """Write one line per family, in sorted order, from bytes(members)
+    keys: masks are below 256, so bytes order is member-tuple order.
+    Lines are rendered and written a chunk at a time."""
+    keys.sort()
+    names = _MASK_NAMES
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+        for i in range(0, len(keys), _LINES_PER_WRITE):
+            chunk = keys[i : i + _LINES_PER_WRITE]
+            fh.write("".join([",".join([names[m] for m in key]) + "\n" for key in chunk]))
 
 
 def _resolve_workers(args) -> int:
@@ -86,10 +90,10 @@ def cmd_closure(args) -> int:
 
 def cmd_enumerate(args) -> int:
     c = EnumerationConstraints(args.n, args.t, True, args.up_to_iso)
-    tuples: list[tuple[int, ...]] = []
-    count = enumerate_families(c, lambda f: tuples.append(f.members), order=args.order, unbounded=args.unbounded)
+    keys: list[bytes] = []
+    count = enumerate_families(c, lambda f: keys.append(bytes(f.members)), order=args.order, unbounded=args.unbounded)
     print(f"count={count}")
-    _write_lines(_render_lines(tuples), args.out)
+    _write_listing(keys, args.out)
     return 0
 
 
@@ -97,7 +101,7 @@ def cmd_oracle(args) -> int:
     c = EnumerationConstraints(args.n, args.t, True, args.up_to_iso)
     families = brute_force_enumerate(c)
     print(f"count={len(families)}")
-    _write_lines(_render_lines([f.members for f in families]), args.out)
+    _write_listing([bytes(f.members) for f in families], args.out)
     return 0
 
 

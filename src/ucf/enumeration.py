@@ -44,9 +44,19 @@ column.  ``enumerate_families`` builds a SetFamily for every node;
 ``enumerate_job`` hands the visit the counters instead, so a campaign
 checks every family without building it.
 
-numpy is imported only by the oracle, by canonical keys and by the
-relabel that turns a descending-order representative into the public
-canonical one; counting, counter visits and campaigns run without it.
+The descending order keeps a different representative per orbit than
+the public CanonicalKey, which maximises sum(2^complement(mask)) over
+the orbit.  node_family and canonical keys find it as the orbit
+maximum of that encoding over a precomputed (2^n, n!) table of uint64
+lanes, one per permutation, then relabel through a mask-image table.
+enumerate_families keeps those lanes per depth of the walk instead:
+each node's lanes are its parent's OR the row of its last member, so
+an emitted family costs one vector OR and one argmax.  64-bit lanes
+hold the encoding while 2^n <= 64, so canonical keys stop at n = 6.
+
+numpy is imported only by the oracle, by canonical keys and by that
+relabel (its tables are built on first use); counting, counter visits,
+labelled listings and campaigns run without it.
 """
 
 from __future__ import annotations
@@ -62,12 +72,11 @@ from .core import (
     Mask,
     SetFamily,
     full_mask,
-    relabel_mask,
 )
 from .errors import InfeasibleScale
 
 MAX_ENUM_GROUND = 6
-MAX_CANONICAL_GROUND = 7
+MAX_CANONICAL_GROUND = 6
 BRUTE_FORCE_POOL_CAP = 22
 
 ORDERS = ("desc", "asc")
@@ -126,43 +135,58 @@ def _perms(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _mask_images(n: int):
-    """(n!, 2^n) numpy table: row p maps every mask to its image under perm p."""
-    import numpy as np
-
-    masks = np.arange(1 << n, dtype=np.uint16)
-    rows = []
-    for perm in _perms(n):
-        img = np.zeros_like(masks)
-        for b, pb in enumerate(perm):
-            img |= ((masks >> b) & 1) << pb
-        rows.append(img)
-    return np.vstack(rows)
+def _images(n: int) -> list[list[Mask]]:
+    """images[mask][i]: the image of mask under _perms(n)[i]."""
+    perms = _perms(n)
+    images = [[0] * len(perms)]
+    singles = [[1 << perm[b] for perm in perms] for b in range(n)]
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        single = singles[low.bit_length() - 1]
+        images.append([a | s for a, s in zip(images[mask ^ low], single)])
+    return images
 
 
-def _comp_powers(n: int, masks: Sequence[Mask]):
-    """(n!, len(masks)) numpy table of 2^image(complement(mask)).
+@lru_cache(maxsize=None)
+def _comp_powers(n: int):
+    """(2^n, n!) uint64 numpy table: row m holds 2^image(complement(m))
+    under each permutation, in _perms order.
 
-    Summed over a family's members this is the per-permutation encoding
+    OR-ed over a family's members (distinct members have distinct
+    images, so this is their sum) it gives the per-permutation encoding
     whose maximum marks the public canonical representative: a larger
     encoding means a lexicographically smaller ascending member list.
+    Exact while 2^n <= 64, hence MAX_CANONICAL_GROUND.
     """
     import numpy as np
 
-    top = full_mask(n)
-    imgs = _mask_images(n)[:, [top ^ m for m in masks]].astype(np.uint64)
-    return np.uint64(1) << imgs
+    images = np.array(_images(n), dtype=np.uint64)
+    return np.uint64(1) << images[full_mask(n) ^ np.arange(1 << n)]
+
+
+def _relabel(n: int, masks: Sequence[Mask], enc) -> list[Mask]:
+    """masks relabeled by a permutation whose encoding in enc (one
+    _comp_powers lane per permutation) is largest."""
+    perm = int(enc.argmax())
+    images = _images(n)
+    return [images[m][perm] for m in masks]
 
 
 def canonical_key(family: SetFamily) -> CanonicalKey:
-    """Orbit-invariant key; two families share it iff relabel-isomorphic."""
-    if family.n > MAX_CANONICAL_GROUND:
+    """Orbit-invariant key; two families share it iff relabel-isomorphic.
+
+    Supported for n <= MAX_CANONICAL_GROUND (6); larger n raises
+    InfeasibleScale.
+    """
+    n = family.n
+    if n > MAX_CANONICAL_GROUND:
         raise InfeasibleScale(f"canonical keys need an S_n scan; supported for n <= {MAX_CANONICAL_GROUND}")
     if not family.members:
-        return CanonicalKey(family.n, ())
-    enc = _comp_powers(family.n, family.members).sum(axis=1)
-    perm = _perms(family.n)[int(enc.argmax())]
-    return CanonicalKey(family.n, tuple(sorted(relabel_mask(m, perm) for m in family.members)))
+        return CanonicalKey(n, ())
+    import numpy as np
+
+    enc = np.bitwise_or.reduce(_comp_powers(n)[list(family.members)], axis=0)
+    return CanonicalKey(n, tuple(sorted(_relabel(n, family.members, enc))))
 
 
 def canonical_form(family: SetFamily) -> SetFamily:
@@ -177,16 +201,9 @@ def _orbit_lanes(n: int, encoded: Sequence[Mask]) -> tuple[tuple[int, ...], int]
     holds enc(identity) - enc(perms[i]) + 2^(w-1) without overflow; the
     increment for encoded member e is 2^e - 2^perms[i](e) in every lane.
     """
-    perms = _perms(n)
     lane_bytes = max(1 << n, 8) // 8 + 1
-    ones = int.from_bytes((b"\x01" + bytes(lane_bytes - 1)) * len(perms), "little")
-    # images[mask][i]: the image of mask under perms[i]
-    images = [[0] * len(perms)]
-    singles = [[1 << perm[b] for perm in perms] for b in range(n)]
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        single = singles[low.bit_length() - 1]
-        images.append([a | s for a, s in zip(images[mask ^ low], single)])
+    ones = int.from_bytes((b"\x01" + bytes(lane_bytes - 1)) * len(_perms(n)), "little")
+    images = _images(n)
     power = [(1 << e).to_bytes(lane_bytes, "little") for e in range(1 << n)]
     steps = tuple(
         (ones << e) - int.from_bytes(b"".join([power[i] for i in images[e]]), "little")
@@ -287,29 +304,50 @@ def _context_for(c: EnumerationConstraints, order: str) -> _Search:
     return _search_context(c.n, c.t, c.require_universe, order)
 
 
-@lru_cache(maxsize=8)
-def _desc_relabel_table(n: int, t: int, require_universe: bool):
-    return _comp_powers(n, _search_context(n, t, require_universe, "desc").pool).T.copy()
-
-
-def _family(ctx: _Search, iso: bool, chosen: Sequence[int]) -> SetFamily:
-    masks = [ctx.pool[p] for p in chosen]
-    if iso and ctx.order == "desc" and masks:
-        # translate the search-internal representative into the public
-        # canonical one (ascending-order search already produces it)
-        enc = _desc_relabel_table(ctx.n, ctx.t, ctx.require_universe)[list(chosen)].sum(axis=0)
-        perm = _perms(ctx.n)[int(enc.argmax())]
-        masks = [relabel_mask(m, perm) for m in masks]
+def _family(ctx: _Search, masks: list[Mask]) -> SetFamily:
+    """The family of the chosen masks plus the members every node has."""
     masks.append(0)
     if ctx.require_universe:
         masks.append(ctx.full)
-    return SetFamily(ctx.n, tuple(sorted(masks)))
+    masks.sort()
+    return SetFamily(ctx.n, tuple(masks))
 
 
 def node_family(c: EnumerationConstraints, chosen: Sequence[int], *, order: str = "desc") -> SetFamily:
     """The family behind a counter visit's chosen positions, exactly as
     enumerate_families visits it in the same order."""
-    return _family(_context_for(c, order), c.up_to_iso, chosen)
+    ctx = _context_for(c, order)
+    family = _family(ctx, [ctx.pool[p] for p in chosen])
+    if c.up_to_iso and order == "desc":
+        # the ascending-order search already produces the public form
+        return canonical_form(family)
+    return family
+
+
+def _canonical_emit(ctx: _Search, visit: Visit) -> CounterVisit:
+    """A counter visit of the descending-order iso walk that hands visit
+    each node relabeled to its public canonical form.
+
+    The walk visits in preorder, so when a node of depth d is visited,
+    lanes[d - 1] still holds its parent's complement encodings; the
+    node's are those OR the row of its last chosen member.
+    """
+    import numpy as np
+
+    n, pool = ctx.n, ctx.pool
+    powers = _comp_powers(n)
+    rows = [powers[m] for m in pool]
+    lanes = [np.zeros(powers.shape[1], dtype=np.uint64) for _ in range(ctx.size + 1)]
+
+    def emit(chosen: list[int], counts: int) -> None:
+        masks = [pool[p] for p in chosen]
+        d = len(chosen)
+        if d:
+            np.bitwise_or(lanes[d - 1], rows[chosen[-1]], out=lanes[d])
+            masks = _relabel(n, masks, lanes[d])
+        visit(_family(ctx, masks))
+
+    return emit
 
 
 def _filter_viable(ctx: _Search, viable: int, p: int, present: int) -> int:
@@ -426,11 +464,16 @@ def enumerate_families(
     ensure_enumerable(c, unbounded)
     ctx = _context_for(c, order)
     iso = c.up_to_iso
+    if visit is None:
+        sink = None
+    elif iso and order == "desc":
+        sink = _canonical_emit(ctx, visit)
+    else:
+        pool = ctx.pool
 
-    def emit(chosen: list[int], counts: int) -> None:
-        visit(_family(ctx, iso, chosen))
+        def sink(chosen: list[int], counts: int) -> None:
+            visit(_family(ctx, [pool[p] for p in chosen]))
 
-    sink = None if visit is None else emit
     if order == "desc":
         viable = (1 << ctx.size) - 1
         return _walk_desc(ctx, iso, sink, 0, 0, viable, ctx.high, [], ctx.base)

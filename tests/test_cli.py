@@ -87,6 +87,15 @@ class TestEnumerate:
         capsys.readouterr()
         assert open(e_out).read() == open(o_out).read()
 
+    def test_iso_matches_oracle_listing(self, tmp_path, capsys):
+        e_out = str(tmp_path / "e.txt")
+        o_out = str(tmp_path / "o.txt")
+        assert main(["enumerate", "--n", "6", "--t", "4", "--up-to-iso", "--out", e_out]) == 0
+        assert main(["oracle", "--n", "6", "--t", "4", "--up-to-iso", "--out", o_out]) == 0
+        assert capsys.readouterr().out == "count=464\ncount=464\n"
+        with open(e_out, "rb") as e, open(o_out, "rb") as o:
+            assert e.read() == o.read()
+
     def test_iso_count(self, capsys):
         assert main(["enumerate", "--n", "4", "--t", "2", "--up-to-iso"]) == 0
         out = capsys.readouterr().out

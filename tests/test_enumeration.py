@@ -96,8 +96,15 @@ class TestCanonicalKey:
         with pytest.raises(InfeasibleScale):
             canonical_key(SetFamily(8, (0, 1)))
 
-    @settings(max_examples=60)
-    @given(family_strategy(4))
+    def test_scale_cap_at_seven(self):
+        # mask images reach 127 at n=7, past the 64-bit encoding lanes
+        with pytest.raises(InfeasibleScale):
+            canonical_key(SetFamily.from_sets(7, [[1], [2]]))
+        with pytest.raises(InfeasibleScale):
+            canonical_form(SetFamily(7, (0, 127)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6).flatmap(family_strategy))
     def test_matches_permutation_scan(self, family):
         assert canonical_key(family).members == naive_canonical_members(family)
 
@@ -164,6 +171,28 @@ class TestEnumerateFamilies:
             families = collect(c, order=order)
             for f in families:
                 assert f.members == canonical_key(f).members
+
+    def test_iso_desc_families_are_their_canonical_forms(self):
+        families = collect(EnumerationConstraints(5, 2, up_to_iso=True), order="desc")
+        assert len(families) == 2900
+        for f in families:
+            assert canonical_form(f) == f
+
+    @pytest.mark.parametrize("order", ["desc", "asc"])
+    @pytest.mark.parametrize("n,t,iso", [(5, 2, True), (4, 1, False)])
+    def test_node_family_is_the_visited_family(self, order, n, t, iso):
+        # both walks try positions in increasing order and visit a node
+        # before its children, so the visit stream of enumerate_families
+        # lists the nodes in lexicographic order of their chosen positions
+        c = EnumerationConstraints(n, t, up_to_iso=iso)
+        nodes: list[list[int]] = []
+        for job in subtree_jobs(c, order):
+            enumerate_job(c, job, lambda chosen, counts: nodes.append(chosen[:]), order=order)
+        nodes.sort()
+        visited = collect(c, order=order)
+        assert len(visited) == len(nodes)
+        for chosen, family in zip(nodes, visited):
+            assert node_family(c, chosen, order=order) == family
 
     def test_iso_collapses_raw_orbits_exactly(self):
         raw_keys = {canonical_key(f) for f in collect(EnumerationConstraints(4, 2))}

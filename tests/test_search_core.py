@@ -182,16 +182,38 @@ class TestPackedOrbitTest:
         assert plain_canonical(n, [encode(ctx.pool[p]) for p in image])
 
 
-def test_campaigns_run_without_numpy():
+def numpy_loaded(code: str) -> bool:
+    """Whether numpy is imported after running code in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(ucf.__file__))
-    code = (
-        "import sys, ucf, ucf.cli\n"
-        "from ucf import EnumerationConstraints, run_campaign\n"
-        "report = run_campaign(EnumerationConstraints(5, 3, up_to_iso=True))\n"
-        "assert report.families_total == 119 and not report.counterexamples\n"
-        "print('numpy' in sys.modules)\n"
-    )
+    code += "\nprint('numpy' in sys.modules)\n"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    return out.stdout.split()[-1] == "True"
+
+
+def test_campaigns_run_without_numpy():
+    assert not numpy_loaded(
+        "import sys, ucf, ucf.cli\n"
+        "from ucf import EnumerationConstraints, run_campaign\n"
+        "report = run_campaign(EnumerationConstraints(5, 3, up_to_iso=True))\n"
+        "assert report.families_total == 119 and not report.counterexamples"
+    )
+
+
+def test_context_and_labelled_listing_run_without_numpy():
+    # the search context behind the benchmark's setup time
+    assert not numpy_loaded(
+        "import sys, ucf.cli\n"
+        "from ucf import EnumerationConstraints, job_depth\n"
+        "assert job_depth(EnumerationConstraints(6, 3, up_to_iso=True)) == 10"
+    )
+    assert not numpy_loaded(
+        "import os, sys, ucf.cli\n"
+        "assert ucf.cli.main(['enumerate', '--n', '5', '--t', '3', '--out', os.devnull]) == 0"
+    )
+    # the canonical relabel of an up-to-iso listing does load it
+    assert numpy_loaded(
+        "import os, sys, ucf.cli\n"
+        "assert ucf.cli.main(['enumerate', '--n', '5', '--t', '3', '--up-to-iso', '--out', os.devnull]) == 0"
+    )
