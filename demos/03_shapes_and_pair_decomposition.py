@@ -16,7 +16,6 @@ from ucf import (
     elements_of_mask,
     full_mask,
     pair_decompose,
-    residue_union_signature,
     union_closure,
 )
 
@@ -35,11 +34,6 @@ slice3 = family.members_of_size(3)
 d = pair_decompose(slice3, full_mask(6))
 print(f"\n3-level has {len(slice3)} sets; matched pairs: {d.k}")
 print("residue:", [elements_of_mask(m) for m in d.residue])
-
-# every two residue sets still miss one element of M_6 together
-signature = residue_union_signature(d.residue)
-print("residue pairwise union sizes:",
-      sorted(u.bit_count() for u in signature.values()))
 
 # at least T(F) = 3 abundant elements must exist; here all six qualify
 w = abundance_witness(family)

@@ -91,7 +91,7 @@ def cmd_closure(args) -> int:
 def cmd_enumerate(args) -> int:
     c = EnumerationConstraints(args.n, args.t, True, args.up_to_iso)
     keys: list[bytes] = []
-    count = enumerate_families(c, lambda f: keys.append(bytes(f.members)), order=args.order, unbounded=args.unbounded)
+    count = enumerate_families(c, lambda f: keys.append(bytes(f.members)), unbounded=args.unbounded)
     print(f"count={count}")
     _write_listing(keys, args.out)
     return 0
@@ -112,11 +112,9 @@ def cmd_verify(args) -> int:
     report = run_campaign(
         c,
         checks,
-        order=args.order,
         workers=_resolve_workers(args),
         checkpoint=args.checkpoint,
         counterexample_dir=ce_dir,
-        lemma_every=args.lemma_every,
         unbounded=args.unbounded,
     )
     print(f"families_total: {report.families_total}")
@@ -124,7 +122,7 @@ def cmd_verify(args) -> int:
     if report.families_by_shape is not None:
         print("by shape:", "  ".join(f"{k}:{v}" for k, v in sorted(report.families_by_shape.items())))
     print(f"counterexamples: {len(report.counterexamples)}")
-    print(f"wall_time: {report.wall_time:.2f}s  workers: {report.workers}  order: {report.order}")
+    print(f"wall_time: {report.wall_time:.2f}s  workers: {report.workers}  order: desc")
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
@@ -148,12 +146,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_closure)
 
-    def enum_flags(p, with_order=True):
+    def enum_flags(p):
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--t", type=int, required=True)
         p.add_argument("--up-to-iso", action="store_true", dest="up_to_iso")
-        if with_order:
-            p.add_argument("--order", choices=("desc", "asc"), default="desc")
         p.add_argument("--unbounded", action="store_true", help="acknowledge a census-scale run (n=6, t<=2)")
 
     p = sub.add_parser("enumerate", help="dump all families (canonical forms when --up-to-iso)")
@@ -174,8 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="resumable progress file")
     p.add_argument("--report", help="write the JSON report here")
     p.add_argument("--checks", help=f"comma list from {','.join(CHECK_NAMES)} (default frankl,s_frankl)")
-    p.add_argument("--lemma-every", type=int, default=1, dest="lemma_every",
-                   help="sample rate for lemma_1_2_spot (default: every family)")
     p.set_defaults(func=cmd_verify)
     return parser
 

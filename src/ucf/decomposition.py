@@ -175,15 +175,6 @@ def pair_decompose(slice_masks: Sequence[Mask], target: Mask) -> PairDecompositi
     return PairDecomposition(tuple(pairs), tuple(residue), len(pairs), target)
 
 
-def residue_union_signature(residue: Sequence[Mask]) -> dict[tuple[int, int], Mask]:
-    """Union mask of every residue index pair (i, j), i < j."""
-    out: dict[tuple[int, int], Mask] = {}
-    for i in range(len(residue)):
-        for j in range(i + 1, len(residue)):
-            out[(i, j)] = residue[i] | residue[j]
-    return out
-
-
 def abundance_witness(family: SetFamily) -> AbundanceWitness:
     """Certify that at least T(F) elements are abundant (at least one
     when T(F) = 1, which is the plain Frankl statement).

@@ -10,26 +10,24 @@ a union-closed family).  Two independent routes exist:
   representative per relabeling orbit, and
 * ``brute_force_enumerate``, a vectorized subset scan used as an oracle.
 
-The search decides candidates in descending mask order by default.  A
-union of two masks is numerically >= both, so when a candidate is
-accepted every union constraint it creates points at already-decided
-candidates: closure is a pure look-back test, and each accepted prefix
-is itself a complete union-closed family.  The ascending order is kept
-as an independent cross-check; there closure propagates forward as
-forced candidates.
+The search decides candidates in descending mask order.  A union of two
+masks is numerically >= both, so when a candidate is accepted every
+union constraint it creates points at already-decided candidates:
+closure is a pure look-back test, and each accepted prefix is itself a
+complete union-closed family.  An ascending-order walk, where closure
+propagates forward as forced candidates, lives in tests/oracles.py as
+an independent cross-check of the counts.
 
 Isomorph rejection is canonical augmentation.  Encode a family as
-sum(2^mask) over its members (over complemented members for the
-ascending order) and call it canonical when the identity relabeling
-attains the orbit maximum of that encoding.  Removing the smallest
-member (largest, in the ascending order) preserves canonicity: if some
-relabeling strictly beat the shrunk family, padding both sides back
-with the removed member would beat the full family too, because the
-removed member's power-of-two term is smaller than any gap between
-distinct encodings of the remaining members.  Prefixes of canonical
-families are therefore canonical, and non-canonical nodes prune whole
-subtrees without losing any class.  For the ascending order the kept
-representative coincides with the public CanonicalKey.
+sum(2^mask) over its members and call it canonical when the identity
+relabeling attains the orbit maximum of that encoding.  Removing the
+smallest member preserves canonicity: if some relabeling strictly beat
+the shrunk family, padding both sides back with the removed member
+would beat the full family too, because the removed member's
+power-of-two term is smaller than any gap between distinct encodings
+of the remaining members.  Prefixes of canonical families are
+therefore canonical, and non-canonical nodes prune whole subtrees
+without losing any class.
 
 The orbit test is one Python int of n! lanes, one per permutation pi,
 each holding enc(identity) - enc(pi) plus a bias bit wider than any
@@ -44,11 +42,11 @@ column.  ``enumerate_families`` builds a SetFamily for every node;
 ``enumerate_job`` hands the visit the counters instead, so a campaign
 checks every family without building it.
 
-The descending order keeps a different representative per orbit than
-the public CanonicalKey, which maximises sum(2^complement(mask)) over
-the orbit.  node_family and canonical keys find it as the orbit
-maximum of that encoding over a precomputed (2^n, n!) table of uint64
-lanes, one per permutation, then relabel through a mask-image table.
+The search keeps a different representative per orbit than the public
+CanonicalKey, which maximises sum(2^complement(mask)) over the orbit.
+node_family and canonical keys find it as the orbit maximum of that
+encoding over a precomputed (2^n, n!) table of uint64 lanes, one per
+permutation, then relabel through a mask-image table.
 enumerate_families keeps those lanes per depth of the walk instead:
 each node's lanes are its parent's OR the row of its last member, so
 an emitted family costs one vector OR and one argmax.  64-bit lanes
@@ -78,8 +76,6 @@ from .errors import InfeasibleScale
 MAX_ENUM_GROUND = 6
 MAX_CANONICAL_GROUND = 6
 BRUTE_FORCE_POOL_CAP = 22
-
-ORDERS = ("desc", "asc")
 
 Visit = Callable[[SetFamily], None]
 # visit(chosen, counts): chosen lists the family's pool positions and is
@@ -238,12 +234,11 @@ def split_counts(n: int, counts: int) -> tuple[int, int, int, int]:
 
 @dataclass
 class _Search:
-    """Precomputed search tables for one (n, t, universe, order) setting."""
+    """Precomputed search tables for one (n, t, universe) setting."""
 
     n: int
     t: int
     require_universe: bool
-    order: str
     full: Mask
     pool: tuple[Mask, ...]
     utab: tuple[tuple[int, ...], ...]
@@ -260,13 +255,11 @@ class _Search:
 
 
 @lru_cache(maxsize=64)
-def _search_context(n: int, t: int, require_universe: bool, order: str) -> _Search:
-    if order not in ORDERS:
-        raise ValueError(f"order must be one of {ORDERS}")
+def _search_context(n: int, t: int, require_universe: bool) -> _Search:
     full = full_mask(n)
     hi = n - 1 if require_universe else n
     cands = [m for m in range(1, full + 1) if t <= m.bit_count() <= hi]
-    pool = tuple(sorted(cands, reverse=(order == "desc")))
+    pool = tuple(sorted(cands, reverse=True))
     pos = {mask: i for i, mask in enumerate(pool)}
     # utab[i][j]: pool position of pool[i]|pool[j], or -1 when the union
     # is one of the two sets or the always-present forced universe
@@ -280,8 +273,7 @@ def _search_context(n: int, t: int, require_universe: bool, order: str) -> _Sear
             else:
                 row.append(pos[u])
         utab.append(tuple(row))
-    encoded = pool if order == "desc" else tuple(full ^ m for m in pool)
-    steps, high = _orbit_lanes(n, encoded)
+    steps, high = _orbit_lanes(n, pool)
     base = _member_counts(0, n)
     if require_universe:
         base += _member_counts(full, n)
@@ -289,7 +281,6 @@ def _search_context(n: int, t: int, require_universe: bool, order: str) -> _Sear
         n=n,
         t=t,
         require_universe=require_universe,
-        order=order,
         full=full,
         pool=pool,
         utab=tuple(utab),
@@ -298,10 +289,6 @@ def _search_context(n: int, t: int, require_universe: bool, order: str) -> _Sear
         steps=steps,
         high=high,
     )
-
-
-def _context_for(c: EnumerationConstraints, order: str) -> _Search:
-    return _search_context(c.n, c.t, c.require_universe, order)
 
 
 def _family(ctx: _Search, masks: list[Mask]) -> SetFamily:
@@ -313,20 +300,19 @@ def _family(ctx: _Search, masks: list[Mask]) -> SetFamily:
     return SetFamily(ctx.n, tuple(masks))
 
 
-def node_family(c: EnumerationConstraints, chosen: Sequence[int], *, order: str = "desc") -> SetFamily:
+def node_family(c: EnumerationConstraints, chosen: Sequence[int]) -> SetFamily:
     """The family behind a counter visit's chosen positions, exactly as
-    enumerate_families visits it in the same order."""
-    ctx = _context_for(c, order)
+    enumerate_families visits it."""
+    ctx = _search_context(c.n, c.t, c.require_universe)
     family = _family(ctx, [ctx.pool[p] for p in chosen])
-    if c.up_to_iso and order == "desc":
-        # the ascending-order search already produces the public form
+    if c.up_to_iso:
         return canonical_form(family)
     return family
 
 
 def _canonical_emit(ctx: _Search, visit: Visit) -> CounterVisit:
-    """A counter visit of the descending-order iso walk that hands visit
-    each node relabeled to its public canonical form.
+    """A counter visit of the iso walk that hands visit each node
+    relabeled to its public canonical form.
 
     The walk visits in preorder, so when a node of depth d is visited,
     lanes[d - 1] still holds its parent's complement encodings; the
@@ -408,65 +394,25 @@ def _walk_desc(
     return count
 
 
-def _walk_asc(
-    ctx: _Search,
-    iso: bool,
-    visit: CounterVisit | None,
-    pos0: int,
-    forced: int,
-    enc: int,
-    chosen: list[int],
-    counts: int,
-) -> int:
-    pending = forced >> pos0
-    if pending:
-        count = 0
-        hi = pos0 + (pending & -pending).bit_length() - 1  # must take the
-        # lowest forced candidate no later than its own position
-    else:
-        if visit is not None:
-            visit(chosen, counts)
-        count = 1
-        hi = ctx.size - 1
-    steps, high, cols = ctx.steps, ctx.high, ctx.cols
-    for p in range(pos0, hi + 1):
-        enc2 = enc
-        if iso:
-            enc2 = enc + steps[p]
-            if enc2 & high != high:
-                continue
-        forced2 = forced
-        row = ctx.utab[p]
-        for b in chosen:
-            u = row[b]
-            if u >= 0:
-                forced2 |= 1 << u
-        chosen.append(p)
-        count += _walk_asc(ctx, iso, visit, p + 1, forced2, enc2, chosen, counts + cols[p])
-        chosen.pop()
-    return count
-
-
 def enumerate_families(
     c: EnumerationConstraints,
     visit: Visit | None = None,
     *,
-    order: str = "desc",
     unbounded: bool = False,
 ) -> int:
     """Visit every family satisfying c (one per orbit when up_to_iso).
 
-    Returns the count; the visit stream is deterministic for a given
-    (constraints, order).  Families arrive union-closed with the empty
+    Returns the count; the visit stream is deterministic for given
+    constraints.  Families arrive union-closed with the empty
     set included, and in up_to_iso mode each is its orbit's canonical
     representative.
     """
     ensure_enumerable(c, unbounded)
-    ctx = _context_for(c, order)
+    ctx = _search_context(c.n, c.t, c.require_universe)
     iso = c.up_to_iso
     if visit is None:
         sink = None
-    elif iso and order == "desc":
+    elif iso:
         sink = _canonical_emit(ctx, visit)
     else:
         pool = ctx.pool
@@ -474,26 +420,24 @@ def enumerate_families(
         def sink(chosen: list[int], counts: int) -> None:
             visit(_family(ctx, [pool[p] for p in chosen]))
 
-    if order == "desc":
-        viable = (1 << ctx.size) - 1
-        return _walk_desc(ctx, iso, sink, 0, 0, viable, ctx.high, [], ctx.base)
-    return _walk_asc(ctx, iso, sink, 0, 0, ctx.high, [], ctx.base)
+    viable = (1 << ctx.size) - 1
+    return _walk_desc(ctx, iso, sink, 0, 0, viable, ctx.high, [], ctx.base)
 
 
-def job_depth(c: EnumerationConstraints, order: str = "desc") -> int:
+def job_depth(c: EnumerationConstraints) -> int:
     """How many leading candidate decisions define one work unit."""
-    return max(0, min(10, _context_for(c, order).size - 6))
+    return max(0, min(10, _search_context(c.n, c.t, c.require_universe).size - 6))
 
 
-def subtree_jobs(c: EnumerationConstraints, order: str = "desc") -> list[int]:
+def subtree_jobs(c: EnumerationConstraints) -> list[int]:
     """All job ids: assignments of the first job_depth() candidates."""
-    return list(range(1 << job_depth(c, order)))
+    return list(range(1 << job_depth(c)))
 
 
-def job_label(c: EnumerationConstraints, job: int, order: str = "desc") -> str:
+def job_label(c: EnumerationConstraints, job: int) -> str:
     """Human-readable root of a job's subtree: its accepted masks."""
-    ctx = _context_for(c, order)
-    masks = [str(ctx.pool[i]) for i in range(job_depth(c, order)) if job >> i & 1]
+    ctx = _search_context(c.n, c.t, c.require_universe)
+    masks = [str(ctx.pool[i]) for i in range(job_depth(c)) if job >> i & 1]
     return ",".join(masks) if masks else "-"
 
 
@@ -502,7 +446,6 @@ def enumerate_job(
     job: int,
     visit: CounterVisit | None = None,
     *,
-    order: str = "desc",
     unbounded: bool = False,
 ) -> int:
     """Enumerate one subtree; summing over subtree_jobs equals the full count.
@@ -514,46 +457,28 @@ def enumerate_job(
     no family is built (node_family builds one).
     """
     ensure_enumerable(c, unbounded)
-    ctx = _context_for(c, order)
-    depth = job_depth(c, order)
+    ctx = _search_context(c.n, c.t, c.require_universe)
+    depth = job_depth(c)
     iso = c.up_to_iso
     enc = ctx.high
     counts = ctx.base
     chosen: list[int] = []
-    if order == "desc":
-        present = 0
-        viable = (1 << ctx.size) - 1
-        for i in range(depth):
-            if not job >> i & 1:
-                continue
-            if not viable >> i & 1:
-                return 0
-            if iso:
-                enc += ctx.steps[i]
-                if enc & ctx.high != ctx.high:
-                    return 0
-            viable = _filter_viable(ctx, viable, i, present)
-            present |= 1 << i
-            chosen.append(i)
-            counts += ctx.cols[i]
-        return _walk_desc(ctx, iso, visit, depth, present, viable, enc, chosen, counts)
-    forced = 0
+    present = 0
+    viable = (1 << ctx.size) - 1
     for i in range(depth):
-        if job >> i & 1:
-            if iso:
-                enc += ctx.steps[i]
-                if enc & ctx.high != ctx.high:
-                    return 0
-            row = ctx.utab[i]
-            for b in chosen:
-                u = row[b]
-                if u >= 0:
-                    forced |= 1 << u
-            chosen.append(i)
-            counts += ctx.cols[i]
-        elif forced >> i & 1:
+        if not job >> i & 1:
+            continue
+        if not viable >> i & 1:
             return 0
-    return _walk_asc(ctx, iso, visit, depth, forced, enc, chosen, counts)
+        if iso:
+            enc += ctx.steps[i]
+            if enc & ctx.high != ctx.high:
+                return 0
+        viable = _filter_viable(ctx, viable, i, present)
+        present |= 1 << i
+        chosen.append(i)
+        counts += ctx.cols[i]
+    return _walk_desc(ctx, iso, visit, depth, present, viable, enc, chosen, counts)
 
 
 def brute_force_enumerate(c: EnumerationConstraints) -> list[SetFamily]:

@@ -72,8 +72,3 @@ def format_family(family: SetFamily) -> str:
         else:
             lines.append(",".join(str(e) for e in elements_of_mask(mask)))
     return "\n".join(lines) + "\n"
-
-
-def family_line(family: SetFamily) -> str:
-    """One-line rendering: member masks joined by commas (diff-friendly)."""
-    return ",".join(str(mask) for mask in family.members)

@@ -5,9 +5,9 @@ and counterexample dumps.
 A campaign is split into the enumeration's independent subtree jobs.
 Jobs run serially or in a process pool; each returns its own exact
 aggregate and the merge is associative, so totals, statistics, and the
-(sorted) counterexample list are identical for any worker count and for
-either candidate ordering.  Completed jobs are appended to a checkpoint
-file as they finish, which makes campaigns resumable after interruption.
+(sorted) counterexample list are identical for any worker count.
+Completed jobs are appended to a checkpoint file as they finish, which
+makes campaigns resumable after interruption.
 """
 
 from __future__ import annotations
@@ -134,11 +134,10 @@ class VerificationReport:
     counterexamples: list[dict]
     wall_time: float
     workers: int
-    order: str = "desc"
 
     def body_dict(self) -> dict:
         """The invariant report content: everything that must be
-        byte-identical across worker counts and candidate orderings."""
+        byte-identical across worker counts."""
         return {
             "constraints": {
                 "n": self.constraints.n,
@@ -164,7 +163,7 @@ class VerificationReport:
         out = self.body_dict()
         out["wall_time"] = self.wall_time
         out["workers"] = self.workers
-        out["order"] = self.order
+        out["order"] = "desc"
         return out
 
     def to_json(self) -> str:
@@ -180,11 +179,9 @@ class _JobTally:
     representative enumerate_families visits.
     """
 
-    def __init__(self, c: EnumerationConstraints, order: str, checks: Sequence[str], lemma_every: int):
+    def __init__(self, c: EnumerationConstraints, checks: Sequence[str]):
         n = self.n = c.n
         self.c = c
-        self.order = order
-        self.lemma_every = lemma_every
         self.shape_mode = n == 6 and c.t == 3
         # failing[t][a]: the checks a family with T = t and a abundant elements fails
         self.failing = [
@@ -216,10 +213,8 @@ class _JobTally:
         return (((freq << 1) + self.high - m * self.ones) & self.high).bit_count()
 
     def _record(self, fails: tuple[str, ...], chosen: list[int]) -> None:
-        family = node_family(self.c, chosen, order=self.order)
+        family = node_family(self.c, chosen)
         for name in fails:
-            if name == "lemma_1_2_spot" and (self.visited - 1) % self.lemma_every:
-                continue
             self.failures.append(_check_failure(name, family))
 
     def by_t(self) -> dict[int, int]:
@@ -230,15 +225,15 @@ class _JobTally:
 
 
 def _job_worker(payload: tuple) -> dict:
-    (n, t, require_universe, up_to_iso, order, checks, lemma_every, unbounded, job) = payload
+    (n, t, require_universe, up_to_iso, checks, unbounded, job) = payload
     c = EnumerationConstraints(n, t, require_universe, up_to_iso)
-    tally = _JobTally(c, order, checks, lemma_every)
-    count = enumerate_job(c, job, tally.visit, order=order, unbounded=unbounded)
+    tally = _JobTally(c, checks)
+    count = enumerate_job(c, job, tally.visit, unbounded=unbounded)
     if count != tally.visited:
         raise AssertionError(f"visit stream ({tally.visited}) disagrees with count ({count})")
     return {
         "job": job,
-        "label": job_label(c, job, order),
+        "label": job_label(c, job),
         "count": count,
         "by_t": tally.by_t(),
         "by_shape": tally.by_shape(),
@@ -250,16 +245,17 @@ def _header_line(header: dict) -> str:
     return f"# campaign {json.dumps(header, sort_keys=True)}\n"
 
 
-def _checkpoint_header(c: EnumerationConstraints, order: str, checks: Sequence[str], lemma_every: int) -> dict:
+def _checkpoint_header(c: EnumerationConstraints, checks: Sequence[str]) -> dict:
+    # fixed "order"/"lemma_every": old checkpoints resume; an "asc" or sampled one is another campaign
     return {
         "n": c.n,
         "t": c.t,
         "require_universe": c.require_universe,
         "up_to_iso": c.up_to_iso,
-        "order": order,
-        "depth": job_depth(c, order),
+        "order": "desc",
+        "depth": job_depth(c),
         "checks": list(checks),
-        "lemma_every": lemma_every,
+        "lemma_every": 1,
     }
 
 
@@ -324,18 +320,16 @@ def run_campaign(
     c: EnumerationConstraints,
     checks: Sequence[str] = ("frankl", "s_frankl"),
     *,
-    order: str = "desc",
     workers: int = 1,
     checkpoint: str | None = None,
     counterexample_dir: str | None = None,
-    lemma_every: int = 1,
     unbounded: bool = False,
     max_jobs: int | None = None,
 ) -> VerificationReport:
     """Run every selected check on every enumerated family.
 
     Totals are exact; the report body is independent of the worker
-    count and of the candidate ordering.  With a checkpoint path,
+    count.  With a checkpoint path,
     completed subtrees are recorded as they finish and skipped on the
     next run; max_jobs limits this run to that many subtrees and raises
     CampaignIncomplete if work remains (split-run support).
@@ -344,12 +338,10 @@ def run_campaign(
     for name in checks:
         if name not in CHECK_FNS:
             raise PreconditionViolation(f"unknown check {name!r}; available: {CHECK_NAMES}")
-    if lemma_every < 1:
-        raise PreconditionViolation("lemma_every must be >= 1")
     ensure_enumerable(c, unbounded)
     start = time.perf_counter()
-    jobs = subtree_jobs(c, order)
-    header = _checkpoint_header(c, order, checks, lemma_every)
+    jobs = subtree_jobs(c)
+    header = _checkpoint_header(c, checks)
     done, keep = _load_checkpoint(checkpoint, header, len(jobs)) if checkpoint else ({}, 0)
     pending = [j for j in jobs if j not in done]
     todo = pending if max_jobs is None else pending[:max_jobs]
@@ -378,7 +370,7 @@ def run_campaign(
                 _dump_counterexample(counterexample_dir, failure)
 
     payloads = [
-        (c.n, c.t, c.require_universe, c.up_to_iso, order, checks, lemma_every, unbounded, job)
+        (c.n, c.t, c.require_universe, c.up_to_iso, checks, unbounded, job)
         for job in todo
     ]
     try:
@@ -426,7 +418,6 @@ def run_campaign(
         counterexamples=counterexamples,
         wall_time=time.perf_counter() - start,
         workers=workers,
-        order=order,
     )
     if sum(by_t.values()) != families_total:
         raise AssertionError("families_by_T does not sum to families_total")
@@ -498,7 +489,8 @@ def check_single(family: SetFamily) -> CheckRecord:
     conjecture verdicts, shape, T-slice pairing, and witness."""
     closed = union_closure(family)
     was_closed = closed.members == family.members
-    added = tuple(m for m in closed.members if m not in set(family.members))
+    given = set(family.members)
+    added = tuple(m for m in closed.members if m not in given)
     notes: list[str] = []
     if not was_closed:
         notes.append(

@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import max_matching_by_recursion, naive_closure
+from oracles import asc_by_t, max_matching_by_recursion, naive_closure
 from ucf import (
     SHAPE_TAGS,
     CampaignIncomplete,
@@ -39,8 +39,8 @@ from ucf import (
 )
 
 # every count below was frozen from the brute-force oracle (n <= 4),
-# from cross-checks between the two candidate orderings, or from the
-# first verified flagship run, and is asserted exactly
+# from cross-checks against the ascending walk of tests/oracles.py, or
+# from the first verified flagship run, and is asserted exactly
 FLAGSHIP_TOTAL = 415282
 FLAGSHIP_BY_T = {3: 414818, 4: 457, 5: 6, 6: 1}
 FLAGSHIP_BY_SHAPE = {"G3": 2, "G3_G4": 9, "G3_G4_G5": 414766, "G3_G5": 41}
@@ -86,6 +86,16 @@ def test_criterion_1_main_theorem_exhaustive_n6_t3(tmp_path):
         f"ACCEPTANCE 1: n=6 t=3 exhaustive, {report.families_total} classes, "
         f"0 counterexamples: PASS"
     )
+
+
+def test_criterion_1_flagship_counts_agree_with_the_ascending_walk():
+    """The ascending-order walk of tests/oracles.py, with its own
+    candidate order, closure rule and orbit representatives, finds the
+    same n=6 t=3 classes and the same split by T(F) as the campaign."""
+    total, by_t = asc_by_t(EnumerationConstraints(6, 3, up_to_iso=True))
+    assert total == FLAGSHIP_TOTAL
+    assert by_t == FLAGSHIP_BY_T
+    print(f"ACCEPTANCE 1b: ascending walk finds the same {total} classes and T split: PASS")
 
 
 def test_criterion_2_prior_cases_n5_and_n4():
@@ -203,17 +213,14 @@ def test_criterion_5_worked_example_fidelity():
 
 
 def test_criterion_6_determinism_across_workers_and_orders():
-    """Report bodies are byte-identical across worker counts {1, 2, 8}
-    and across the two independent candidate orderings."""
+    """Report bodies are byte-identical across worker counts {1, 2, 8},
+    and their totals and split by T(F) equal those of the independent
+    ascending walk of tests/oracles.py."""
     c = EnumerationConstraints(4, 1)
-    bodies = {
-        (workers, order): run_campaign(c, workers=workers, order=order).body_bytes()
-        for workers in (1, 2, 8)
-        for order in ("desc", "asc")
-    }
-    baseline = bodies[(1, "desc")]
-    assert all(body == baseline for body in bodies.values())
-    print("ACCEPTANCE 6: byte-identical bodies over workers {1,2,8} x orders: PASS")
+    reports = [run_campaign(c, workers=workers) for workers in (1, 2, 8)]
+    assert all(r.body_bytes() == reports[0].body_bytes() for r in reports)
+    assert (reports[0].families_total, reports[0].families_by_T) == asc_by_t(c)
+    print("ACCEPTANCE 6: byte-identical bodies over workers {1,2,8}, totals = ascending walk: PASS")
 
 
 def test_criterion_7_property_suite():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import ucf.verifier as verifier
+from test_verifier import OLD_N4T2_CHECKPOINT
 from ucf.cli import main
 
 F1_TEXT = "n=6\n{}\n1,2,3\n1,2,3,4,5,6\n"
@@ -146,7 +147,7 @@ class TestVerify:
         status = main(
             [
                 "verify", "--n", "3", "--t", "1", "--workers", "1",
-                "--checks", "frankl,s_frankl,lemma_1_2_spot", "--lemma-every", "5",
+                "--checks", "frankl,s_frankl,lemma_1_2_spot",
             ]
         )
         assert status == 0
@@ -216,6 +217,14 @@ class TestVerify:
         second = capsys.readouterr().out
         assert first.split("wall_time")[0] == second.split("wall_time")[0]
 
+    def test_ascending_or_sampled_checkpoint_refused(self, tmp_path, capsys):
+        ck = tmp_path / "run.ck"
+        args = ["verify", "--n", "4", "--t", "2", "--workers", "1", "--checkpoint", str(ck)]
+        for old, new in (('"order": "desc"', '"order": "asc"'), ('"lemma_every": 1', '"lemma_every": 5')):
+            ck.write_text(OLD_N4T2_CHECKPOINT.replace(old, new))
+            assert main(args) == 2
+            assert "different campaign" in capsys.readouterr().err
+
 
 class TestParserPlumbing:
     def test_requires_subcommand(self, capsys):
@@ -223,7 +232,13 @@ class TestParserPlumbing:
             main([])
         capsys.readouterr()
 
-    def test_order_choices(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["enumerate", "--n", "3", "--t", "1", "--order", "shuffled"])
-        capsys.readouterr()
+    def test_order_and_lemma_every_flags_are_gone(self, capsys):
+        for argv in (
+            ["enumerate", "--n", "3", "--t", "1", "--order", "desc"],
+            ["verify", "--n", "3", "--t", "1", "--order", "desc"],
+            ["verify", "--n", "3", "--t", "1", "--lemma-every", "1"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

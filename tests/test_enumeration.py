@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_canonical_members
+import ucf.enumeration as enumeration
+from oracles import asc_families, asc_walk, naive_canonical_members
 from ucf import (
     CanonicalKey,
     EnumerationConstraints,
@@ -30,7 +31,7 @@ from ucf import (
 from ucf.enumeration import node_family
 
 # counts frozen from the brute-force oracle at n <= 4 and cross-checked
-# between the two candidate orderings at n = 5
+# against the ascending walk of tests/oracles.py at n = 5
 KNOWN_COUNTS = {
     (2, 1): (4, 3),  # (raw, up_to_iso)
     (2, 2): (1, 1),
@@ -47,9 +48,9 @@ KNOWN_COUNTS = {
 }
 
 
-def collect(c: EnumerationConstraints, **kw) -> list[SetFamily]:
+def collect(c: EnumerationConstraints) -> list[SetFamily]:
     out: list[SetFamily] = []
-    n = enumerate_families(c, out.append, **kw)
+    n = enumerate_families(c, out.append)
     assert n == len(out)
     return out
 
@@ -137,12 +138,11 @@ class TestEnumerateFamilies:
     @pytest.mark.parametrize("n,t", sorted(KNOWN_COUNTS))
     @pytest.mark.parametrize("order", ["desc", "asc"])
     def test_known_counts(self, n, t, order):
+        # asc: the ascending walk of tests/oracles.py
+        count = enumerate_families if order == "desc" else asc_walk
         raw, iso = KNOWN_COUNTS[(n, t)]
-        assert enumerate_families(EnumerationConstraints(n, t), order=order) == raw
-        assert (
-            enumerate_families(EnumerationConstraints(n, t, up_to_iso=True), order=order)
-            == iso
-        )
+        assert count(EnumerationConstraints(n, t)) == raw
+        assert count(EnumerationConstraints(n, t, up_to_iso=True)) == iso
 
     def test_family_shape_contract(self):
         c = EnumerationConstraints(4, 2)
@@ -161,19 +161,18 @@ class TestEnumerateFamilies:
 
     def test_orders_agree_on_visit_sets(self):
         c = EnumerationConstraints(4, 2)
-        desc = {f.members for f in collect(c, order="desc")}
-        asc = {f.members for f in collect(c, order="asc")}
+        desc = {f.members for f in collect(c)}
+        asc = {f.members for f in asc_families(c)}
         assert desc == asc
 
     def test_iso_emits_canonical_representatives(self):
         c = EnumerationConstraints(4, 2, up_to_iso=True)
-        for order in ("desc", "asc"):
-            families = collect(c, order=order)
+        for families in (collect(c), asc_families(c)):
             for f in families:
                 assert f.members == canonical_key(f).members
 
     def test_iso_desc_families_are_their_canonical_forms(self):
-        families = collect(EnumerationConstraints(5, 2, up_to_iso=True), order="desc")
+        families = collect(EnumerationConstraints(5, 2, up_to_iso=True))
         assert len(families) == 2900
         for f in families:
             assert canonical_form(f) == f
@@ -181,18 +180,26 @@ class TestEnumerateFamilies:
     @pytest.mark.parametrize("order", ["desc", "asc"])
     @pytest.mark.parametrize("n,t,iso", [(5, 2, True), (4, 1, False)])
     def test_node_family_is_the_visited_family(self, order, n, t, iso):
-        # both walks try positions in increasing order and visit a node
+        c = EnumerationConstraints(n, t, up_to_iso=iso)
+        if order == "asc":
+            # handed the pool positions of a family the ascending walk of
+            # tests/oracles.py visits, node_family builds that family back
+            pos = {mask: i for i, mask in enumerate(enumeration._search_context(n, t, c.require_universe).pool)}
+            for family in asc_families(c):
+                chosen = sorted(pos[m] for m in family.members if m in pos)
+                assert node_family(c, chosen) == family
+            return
+        # the walk tries positions in increasing order and visits a node
         # before its children, so the visit stream of enumerate_families
         # lists the nodes in lexicographic order of their chosen positions
-        c = EnumerationConstraints(n, t, up_to_iso=iso)
         nodes: list[list[int]] = []
-        for job in subtree_jobs(c, order):
-            enumerate_job(c, job, lambda chosen, counts: nodes.append(chosen[:]), order=order)
+        for job in subtree_jobs(c):
+            enumerate_job(c, job, lambda chosen, counts: nodes.append(chosen[:]))
         nodes.sort()
-        visited = collect(c, order=order)
+        visited = collect(c)
         assert len(visited) == len(nodes)
         for chosen, family in zip(nodes, visited):
-            assert node_family(c, chosen, order=order) == family
+            assert node_family(c, chosen) == family
 
     def test_iso_collapses_raw_orbits_exactly(self):
         raw_keys = {canonical_key(f) for f in collect(EnumerationConstraints(4, 2))}
@@ -209,10 +216,6 @@ class TestEnumerateFamilies:
     def test_count_without_visitor(self):
         c = EnumerationConstraints(4, 1)
         assert enumerate_families(c) == 2271
-
-    def test_bad_order_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_families(EnumerationConstraints(3, 1), order="sideways")
 
 
 class TestJobPartition:
@@ -233,14 +236,16 @@ class TestJobPartition:
     @pytest.mark.parametrize("order", ["desc", "asc"])
     @pytest.mark.parametrize("iso", [False, True])
     def test_jobs_partition_the_search(self, order, iso):
+        # the jobs together visit each family of the serial walk, or of the
+        # ascending walk of tests/oracles.py, exactly once
         c = EnumerationConstraints(4, 1, up_to_iso=iso)
-        serial = collect(c, order=order)
+        serial = collect(c) if order == "desc" else asc_families(c)
         total = 0
         seen: list[tuple[int, ...]] = []
-        for job in subtree_jobs(c, order):
+        for job in subtree_jobs(c):
             got: list[int] = []
-            total += enumerate_job(c, job, lambda chosen, counts: got.append(chosen[:]), order=order)
-            seen.extend(node_family(c, chosen, order=order).members for chosen in got)
+            total += enumerate_job(c, job, lambda chosen, counts: got.append(chosen[:]))
+            seen.extend(node_family(c, chosen).members for chosen in got)
         assert total == len(serial)
         assert sorted(seen) == sorted(f.members for f in serial)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ucf import ParseError, SetFamily, family_line, format_family, parse_family, full_mask
+from ucf import ParseError, SetFamily, format_family, parse_family, full_mask
 
 
 def family_strategy(n: int):
@@ -76,10 +76,6 @@ class TestFormat:
     def test_format_family(self):
         f = SetFamily.from_sets(6, [[], [1, 2, 3], [1, 2, 3, 4, 5, 6]])
         assert format_family(f) == "n=6\n{}\n1,2,3\n1,2,3,4,5,6\n"
-
-    def test_family_line(self):
-        f = SetFamily.from_masks(4, [0, 3, 15])
-        assert family_line(f) == "0,3,15"
 
     @given(st.integers(min_value=2, max_value=6).flatmap(family_strategy))
     def test_round_trip(self, family):

@@ -1,0 +1,30 @@
+"""The demos and the benchmark's self-test run to completion."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(path: Path, cwd: Path) -> None:
+    # temporary files, such as demo 05's checkpoint, land in cwd
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(cwd))
+    out = subprocess.run([sys.executable, str(path)], cwd=cwd, env=env, capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]
+
+
+@pytest.mark.parametrize("demo", sorted(path.name for path in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo, tmp_path):
+    run_script(ROOT / "demos" / demo, tmp_path)
+
+
+def test_bench_selftest_passes(tmp_path):
+    # the only check of what the benchmark reads from ucf: the report's
+    # order key and the verifier names its timing shims wrap
+    run_script(ROOT / "bench" / "selftest.py", tmp_path)

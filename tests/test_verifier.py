@@ -6,6 +6,7 @@ import os
 import pytest
 
 import ucf.verifier as verifier
+from oracles import asc_by_t
 from ucf import (
     SHAPE_TAGS,
     CampaignIncomplete,
@@ -24,6 +25,20 @@ from ucf import (
 )
 
 N3T1 = EnumerationConstraints(3, 1)
+
+# the first three jobs of run_campaign(EnumerationConstraints(4, 2),
+# checkpoint=..., max_jobs=3) as written while campaigns still took a
+# candidate order and a lemma sampling rate
+OLD_N4T2_CHECKPOINT = (
+    '# campaign {"checks": ["frankl", "s_frankl"], "depth": 4, "lemma_every": 1, "n": 4, '
+    '"order": "desc", "require_universe": true, "t": 2, "up_to_iso": false}\n'
+    "subtree=- count=20\n"
+    '# agg {"by_shape": {}, "by_t": {"2": 18, "3": 1, "4": 1}, "count": 20, "failures": [], "job": 0, "label": "-"}\n'
+    "subtree=14 count=23\n"
+    '# agg {"by_shape": {}, "by_t": {"2": 21, "3": 2}, "count": 23, "failures": [], "job": 1, "label": "14"}\n'
+    "subtree=13 count=23\n"
+    '# agg {"by_shape": {}, "by_t": {"2": 21, "3": 2}, "count": 23, "failures": [], "job": 2, "label": "13"}\n'
+)
 
 
 def always_fail(t: int, abundant: int) -> bool:
@@ -52,7 +67,7 @@ class TestRunCampaign:
     def test_shape_statistics_accumulate_per_job(self):
         # one subtree of the n=6, t=3 campaign exercises the shape
         # tally; the full campaign is covered by the acceptance suite
-        payload = (6, 3, True, True, "desc", ("frankl", "s_frankl"), 1, False, 0)
+        payload = (6, 3, True, True, ("frankl", "s_frankl"), False, 0)
         record = verifier._job_worker(payload)
         assert record["count"] > 0
         assert set(record["by_shape"]) <= set(SHAPE_TAGS)
@@ -62,10 +77,6 @@ class TestRunCampaign:
         with pytest.raises(PreconditionViolation):
             run_campaign(N3T1, checks=("frankl", "nonsense"))
 
-    def test_lemma_every_validated(self):
-        with pytest.raises(PreconditionViolation):
-            run_campaign(N3T1, lemma_every=0)
-
     def test_envelope_enforced(self):
         with pytest.raises(InfeasibleScale):
             run_campaign(EnumerationConstraints(7, 3))
@@ -73,11 +84,6 @@ class TestRunCampaign:
     def test_lemma_check_runs_clean(self):
         report = run_campaign(N3T1, checks=("frankl", "s_frankl", "lemma_1_2_spot"))
         assert report.counterexamples == []
-        sampled = run_campaign(
-            N3T1, checks=("frankl", "s_frankl", "lemma_1_2_spot"), lemma_every=7
-        )
-        assert sampled.counterexamples == []
-        assert sampled.families_total == report.families_total
 
     def test_workers_do_not_change_the_body(self):
         c = EnumerationConstraints(4, 1)
@@ -86,10 +92,10 @@ class TestRunCampaign:
         assert serial.body_bytes() == pooled.body_bytes()
 
     def test_orders_do_not_change_the_body(self):
+        # the body's totals are those of the ascending walk of tests/oracles.py
         c = EnumerationConstraints(4, 2)
-        desc = run_campaign(c, order="desc")
-        asc = run_campaign(c, order="asc")
-        assert desc.body_bytes() == asc.body_bytes()
+        report = run_campaign(c)
+        assert (report.families_total, report.families_by_T) == asc_by_t(c)
 
 
 class TestReportShape:
@@ -145,19 +151,14 @@ class TestCounterexamplePlumbing:
     def test_forced_failures_name_the_canonical_families(self, monkeypatch):
         monkeypatch.setitem(verifier.CHECK_FNS, "frankl", always_fail)
         c = EnumerationConstraints(4, 2, up_to_iso=True)
-        desc = run_campaign(c, checks=("frankl",), order="desc")
-        asc = run_campaign(c, checks=("frankl",), order="asc")
-        assert desc.body_bytes() == asc.body_bytes()
+        report = run_campaign(c, checks=("frankl",))
         families = sorted(verifier.format_family(f) for f in brute_force_enumerate(c))
-        assert [r["family"] for r in desc.counterexamples] == families
+        assert [r["family"] for r in report.counterexamples] == families
 
-    def test_lemma_failures_follow_the_sampling(self, monkeypatch):
-        # sampling counts families per job; n=3 t=1 is a single job of 45
+    def test_lemma_failures_record_min_freq(self, monkeypatch):
         monkeypatch.setitem(verifier.CHECK_FNS, "lemma_1_2_spot", always_fail)
         every = run_campaign(N3T1, checks=("lemma_1_2_spot",))
         assert len(every.counterexamples) == every.families_total == 45
-        sampled = run_campaign(N3T1, checks=("lemma_1_2_spot",), lemma_every=7)
-        assert len(sampled.counterexamples) == 7
         for record in every.counterexamples:
             coatoms = parse_family(record["family"]).members_of_size(2)
             if len(coatoms) >= 2:
@@ -200,6 +201,16 @@ class TestCheckpoint:
         run_campaign(EnumerationConstraints(4, 2), checkpoint=ck)
         with pytest.raises(PreconditionViolation):
             run_campaign(EnumerationConstraints(4, 3), checkpoint=ck)
+
+    def test_old_checkpoint_resumes(self, tmp_path):
+        c = EnumerationConstraints(4, 2)
+        ck = tmp_path / "run.ck"
+        ck.write_text(OLD_N4T2_CHECKPOINT)
+        resumed = run_campaign(c, checkpoint=str(ck))
+        assert resumed.body_bytes() == run_campaign(c).body_bytes()
+        text = ck.read_text()
+        assert text.startswith(OLD_N4T2_CHECKPOINT)
+        assert text.count("# agg ") == len(subtree_jobs(c))
 
     def test_headerless_nonempty_checkpoint_rejected(self, tmp_path):
         ck = tmp_path / "run.ck"
@@ -329,7 +340,6 @@ class TestReportConstruction:
             counterexamples=[],
             wall_time=0.5,
             workers=3,
-            order="asc",
         )
         assert json.loads(report.body_bytes()) == report.body_dict()
         clone = VerificationReport(
@@ -341,6 +351,5 @@ class TestReportConstruction:
             counterexamples=[],
             wall_time=9.9,
             workers=1,
-            order="desc",
         )
         assert clone.body_bytes() == report.body_bytes()
