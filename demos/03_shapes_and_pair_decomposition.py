@@ -28,7 +28,7 @@ def closed_with_empty(*sets_):
 # four triples arranged so that no two of them union to M_6
 family = closed_with_empty([1, 2, 3], [1, 4, 5], [2, 4, 6], [3, 5, 6])
 print("family size:", family.m)
-print("shape:", classify_shape(family).tag)
+print("shape:", classify_shape(family))
 
 slice3 = family.members_of_size(3)
 d = pair_decompose(slice3, full_mask(6))
@@ -44,4 +44,4 @@ print("certificates:", [f"{e}: {c}/{w.m}" for e, c in zip(w.elements, w.counts)]
 paired = SetFamily.from_sets(6, [[], [1, 2, 3], [4, 5, 6], [1, 2, 3, 4, 5, 6]])
 d2 = pair_decompose(paired.members_of_size(3), full_mask(6))
 print("\ncomplementary-triples family: k =", d2.k, "residue", d2.residue)
-print("shape:", classify_shape(paired).tag)
+print("shape:", classify_shape(paired))

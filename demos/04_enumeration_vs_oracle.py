@@ -14,7 +14,7 @@ from collections import Counter
 from ucf import (
     EnumerationConstraints,
     brute_force_enumerate,
-    canonical_key,
+    canonical_form,
     enumerate_families,
     format_family,
 )
@@ -33,13 +33,14 @@ c_iso = EnumerationConstraints(n=4, t=2, up_to_iso=True)
 classes: list = []
 enumerate_families(c_iso, classes.append)
 print(f"isomorphism classes: {len(classes)}")
-assert sorted(canonical_key(f) for f in classes) == sorted(
-    {canonical_key(f) for f in oracle}
-)
+# a canonical form is hashable and names its orbit, so it is the key
+keys = [canonical_form(f) for f in classes]
+assert len(set(keys)) == len(keys)
+assert set(keys) == {canonical_form(f) for f in oracle}
 print("orbit keys agree with the oracle's orbits")
 
 # every emitted representative is already in canonical form
-assert all(canonical_key(f).members == f.members for f in classes)
+assert all(canonical_form(f) == f for f in classes)
 
 print("\nsmallest class representatives:")
 for family in classes[:3]:

@@ -15,22 +15,25 @@ from pathlib import Path
 from ucf import CampaignIncomplete, EnumerationConstraints, run_campaign
 
 c = EnumerationConstraints(n=5, t=3)
-checkpoint = Path(tempfile.mkdtemp()) / "n5t3.ck"
 
-# first session: stop after 40 of the subtrees
-try:
-    run_campaign(c, checkpoint=str(checkpoint), max_jobs=40)
-except CampaignIncomplete as exc:
-    print("interrupted:", exc)
+with tempfile.TemporaryDirectory() as tmp:
+    checkpoint = Path(tmp) / "n5t3.ck"
 
-lines = checkpoint.read_text().splitlines()
-print(f"\ncheckpoint holds {sum(1 for ln in lines if ln.startswith('subtree='))} "
-      "finished subtrees; first lines:")
-for line in lines[:3]:
-    print(" ", line[:76])
+    # first session: stop after 40 of the subtrees
+    try:
+        run_campaign(c, checkpoint=str(checkpoint), max_jobs=40)
+    except CampaignIncomplete as exc:
+        print("interrupted:", exc)
 
-# second session: same checkpoint, remaining subtrees only
-report = run_campaign(c, checkpoint=str(checkpoint))
+    # a header line, then one "# agg" record per finished subtree
+    lines = checkpoint.read_text().splitlines()
+    print(f"\ncheckpoint holds {sum(1 for ln in lines if ln.startswith('# agg '))} "
+          "finished subtrees; first lines:")
+    for line in lines[:3]:
+        print(" ", line[:76])
+
+    # second session: same checkpoint, remaining subtrees only
+    report = run_campaign(c, checkpoint=str(checkpoint))
 print(f"\nfamilies checked: {report.families_total}")
 print("by T(F):", dict(sorted(report.families_by_T.items())))
 print("counterexamples:", len(report.counterexamples))

@@ -21,8 +21,6 @@ from .core import (
     lemma_1_2_bound,
     level_profile,
     mask_from_elements,
-    relabel_family,
-    relabel_mask,
     s_frankl_holds,
     t_value,
     union_closure,
@@ -31,31 +29,20 @@ from .decomposition import (
     SHAPE_TAGS,
     AbundanceWitness,
     PairDecomposition,
-    ShapeClass,
     abundance_witness,
     classify_shape,
     pair_decompose,
 )
 from .enumeration import (
-    BRUTE_FORCE_POOL_CAP,
-    CanonicalKey,
     EnumerationConstraints,
     brute_force_enumerate,
     canonical_form,
-    canonical_key,
-    ensure_enumerable,
     enumerate_families,
-    enumerate_job,
-    job_depth,
-    job_label,
-    subtree_jobs,
 )
 from .errors import (
     CampaignIncomplete,
-    DegenerateFamily,
     InfeasibleScale,
     NoNonemptyMember,
-    NotApplicable,
     NotInScope,
     ParseError,
     PreconditionViolation,
@@ -73,12 +60,9 @@ from .verifier import (
 
 __all__ = [
     "AbundanceWitness",
-    "BRUTE_FORCE_POOL_CAP",
     "CampaignIncomplete",
-    "CanonicalKey",
     "CheckRecord",
     "CHECK_NAMES",
-    "DegenerateFamily",
     "EnumerationConstraints",
     "FrequencyProfile",
     "InfeasibleScale",
@@ -86,13 +70,11 @@ __all__ = [
     "LevelProfile",
     "Mask",
     "NoNonemptyMember",
-    "NotApplicable",
     "NotInScope",
     "PairDecomposition",
     "ParseError",
     "PreconditionViolation",
     "SetFamily",
-    "ShapeClass",
     "SHAPE_TAGS",
     "UcfError",
     "VerificationReport",
@@ -100,30 +82,22 @@ __all__ = [
     "abundance_witness",
     "brute_force_enumerate",
     "canonical_form",
-    "canonical_key",
     "check_single",
     "classify_shape",
     "elements_of_mask",
-    "ensure_enumerable",
     "enumerate_families",
-    "enumerate_job",
     "format_family",
     "frankl_holds",
     "frequency_profile",
     "full_mask",
     "is_union_closed",
-    "job_depth",
-    "job_label",
     "lemma_1_2_bound",
     "level_profile",
     "mask_from_elements",
     "pair_decompose",
     "parse_family",
-    "relabel_family",
-    "relabel_mask",
     "run_campaign",
     "s_frankl_holds",
-    "subtree_jobs",
     "t_value",
     "union_closure",
 ]

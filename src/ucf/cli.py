@@ -146,11 +146,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_closure)
 
-    def enum_flags(p):
+    def enum_flags(p, unbounded: bool = True):
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--t", type=int, required=True)
         p.add_argument("--up-to-iso", action="store_true", dest="up_to_iso")
-        p.add_argument("--unbounded", action="store_true", help="acknowledge a census-scale run (n=6, t<=2)")
+        if unbounded:  # the oracle is capped by its pool size instead
+            p.add_argument("--unbounded", action="store_true", help="acknowledge a census-scale run (n=6, t<=2)")
 
     p = sub.add_parser("enumerate", help="dump all families (canonical forms when --up-to-iso)")
     enum_flags(p)
@@ -158,9 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("oracle", help="brute-force oracle listing for small configurations")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--up-to-iso", action="store_true", dest="up_to_iso")
+    enum_flags(p, unbounded=False)
     p.add_argument("--out")
     p.set_defaults(func=cmd_oracle)
 

@@ -9,14 +9,9 @@ work on Python ints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
-from .errors import (
-    DegenerateFamily,
-    NoNonemptyMember,
-    NotApplicable,
-    PreconditionViolation,
-)
+from .errors import NoNonemptyMember, NotInScope, PreconditionViolation
 
 Mask = int
 
@@ -49,18 +44,6 @@ def elements_of_mask(mask: Mask) -> tuple[int, ...]:
         mask >>= 1
         label += 1
     return tuple(out)
-
-
-def relabel_mask(mask: Mask, perm: Sequence[int]) -> Mask:
-    """Apply a 0-based bit permutation: bit b of the input moves to perm[b]."""
-    out = 0
-    b = 0
-    while mask:
-        if mask & 1:
-            out |= 1 << perm[b]
-        mask >>= 1
-        b += 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -105,23 +88,14 @@ class SetFamily:
         """Number of member sets (the empty set counts)."""
         return len(self.members)
 
-    def __contains__(self, mask: Mask) -> bool:
-        return mask in set(self.members)
-
     def members_of_size(self, k: int) -> tuple[Mask, ...]:
         return tuple(mask for mask in self.members if mask.bit_count() == k)
-
-    def as_sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(elements_of_mask(mask) for mask in self.members)
 
 
 class LevelProfile(NamedTuple):
     """counts[k] = number of members of cardinality k, for k = 0..n."""
 
     counts: tuple[int, ...]
-
-    def count(self, k: int) -> int:
-        return self.counts[k]
 
 
 class FrequencyProfile(NamedTuple):
@@ -211,11 +185,11 @@ def frequency_profile(family: SetFamily) -> FrequencyProfile:
 def frankl_holds(family: SetFamily) -> bool:
     """Some element lies in at least half of the members.
 
-    Assumes the family is union-closed; raises DegenerateFamily when
+    Assumes the family is union-closed; raises NoNonemptyMember when
     there is no nonempty member to speak about.
     """
     if all(mask == 0 for mask in family.members):
-        raise DegenerateFamily("no nonempty member; the statement is vacuous")
+        raise NoNonemptyMember("no nonempty member; the statement is vacuous")
     return bool(frequency_profile(family).abundant)
 
 
@@ -223,11 +197,11 @@ def s_frankl_holds(family: SetFamily) -> bool:
     """At least T(F) elements lie in at least half of the members.
 
     Defined for union-closed families with T(F) >= 2; T(F) = 1 raises
-    NotApplicable since the statement quantifies over k >= 2.
+    NotInScope since the statement quantifies over k >= 2.
     """
     t = t_value(family)
     if t == 1:
-        raise NotApplicable("T(F) = 1; the strengthened statement needs T >= 2")
+        raise NotInScope("T(F) = 1; the strengthened statement needs T >= 2")
     return len(frequency_profile(family).abundant) >= t
 
 
@@ -259,12 +233,3 @@ def lemma_1_2_bound(m_mask: Mask, coatoms: SetFamily) -> Lemma12Result:
                 min_freq = f
     assert min_freq is not None
     return Lemma12Result(min_freq, min_freq >= coatoms.m - 1)
-
-
-def relabel_family(family: SetFamily, perm: Sequence[int]) -> SetFamily:
-    """Rename elements by a 0-based bit permutation of length n."""
-    if sorted(perm) != list(range(family.n)):
-        raise ValueError("perm must be a permutation of 0..n-1")
-    return SetFamily.from_masks(
-        family.n, (relabel_mask(mask, perm) for mask in family.members)
-    )

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
-    LevelProfile,
     Mask,
     SetFamily,
     frequency_profile,
@@ -27,14 +26,6 @@ from .errors import (
 
 # indexed by (has a 4-set, has a 5-set) read as two binary digits
 SHAPE_TAGS = ("G3", "G3_G5", "G3_G4", "G3_G4_G5")
-
-
-@dataclass(frozen=True)
-class ShapeClass:
-    """Which levels between T=3 and n=6 are populated."""
-
-    tag: str
-    levels: LevelProfile
 
 
 @dataclass(frozen=True)
@@ -76,8 +67,9 @@ class AbundanceWitness:
         return self.counts[self.elements.index(element)], self.m
 
 
-def classify_shape(family: SetFamily) -> ShapeClass:
-    """Tag an n=6, T=3 family by which of the 4/5 levels are populated.
+def classify_shape(family: SetFamily) -> str:
+    """The SHAPE_TAGS entry naming which of the 4/5 levels of an n=6,
+    T=3 family are populated.
 
     The empty set and the full ground set are required members; the
     3-level is nonempty because T=3.  NotInScope on any precondition
@@ -98,8 +90,8 @@ def classify_shape(family: SetFamily) -> ShapeClass:
         raise NotInScope(f"shape taxonomy needs T(F)=3, got T={t}")
     if not is_union_closed(family):
         raise NotInScope("family is not union-closed")
-    levels = level_profile(family)
-    return ShapeClass(SHAPE_TAGS[2 * (levels.counts[4] > 0) + (levels.counts[5] > 0)], levels)
+    levels = level_profile(family).counts
+    return SHAPE_TAGS[2 * (levels[4] > 0) + (levels[5] > 0)]
 
 
 def _matching_size(remaining: int, nbr: list[int], memo: dict[int, int]) -> int:

@@ -43,16 +43,18 @@ column.  ``enumerate_families`` builds a SetFamily for every node;
 checks every family without building it.
 
 The search keeps a different representative per orbit than the public
-CanonicalKey, which maximises sum(2^complement(mask)) over the orbit.
-node_family and canonical keys find it as the orbit maximum of that
+canonical_form, which maximises sum(2^complement(mask)) over the orbit.
+node_family and canonical_form find it as the orbit maximum of that
 encoding over a precomputed (2^n, n!) table of uint64 lanes, one per
 permutation, then relabel through a mask-image table.
 enumerate_families keeps those lanes per depth of the walk instead:
 each node's lanes are its parent's OR the row of its last member, so
 an emitted family costs one vector OR and one argmax.  64-bit lanes
-hold the encoding while 2^n <= 64, so canonical keys stop at n = 6.
+hold the encoding while 2^n <= 64, so canonical forms stop at n = 6.
+A canonical form is also the canonical key: SetFamily is frozen, hence
+hashable, and two families share a form iff they are isomorphic.
 
-numpy is imported only by the oracle, by canonical keys and by that
+numpy is imported only by the oracle, by canonical_form and by that
 relabel (its tables are built on first use); counting, counter visits,
 labelled listings and campaigns run without it.
 """
@@ -116,14 +118,6 @@ def ensure_enumerable(constraints: EnumerationConstraints, unbounded: bool = Fal
         )
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalKey:
-    """Lexicographically least relabeled member tuple of a family's orbit."""
-
-    n: int
-    members: tuple[Mask, ...]
-
-
 @lru_cache(maxsize=None)
 def _perms(n: int) -> tuple[tuple[int, ...], ...]:
     # lexicographic, identity first
@@ -168,8 +162,10 @@ def _relabel(n: int, masks: Sequence[Mask], enc) -> list[Mask]:
     return [images[m][perm] for m in masks]
 
 
-def canonical_key(family: SetFamily) -> CanonicalKey:
-    """Orbit-invariant key; two families share it iff relabel-isomorphic.
+def canonical_form(family: SetFamily) -> SetFamily:
+    """The family relabeled to the representative of its orbit with the
+    lexicographically least member tuple; two families share it iff
+    they are relabel-isomorphic, so it serves as their canonical key.
 
     Supported for n <= MAX_CANONICAL_GROUND (6); larger n raises
     InfeasibleScale.
@@ -178,16 +174,11 @@ def canonical_key(family: SetFamily) -> CanonicalKey:
     if n > MAX_CANONICAL_GROUND:
         raise InfeasibleScale(f"canonical keys need an S_n scan; supported for n <= {MAX_CANONICAL_GROUND}")
     if not family.members:
-        return CanonicalKey(n, ())
+        return family
     import numpy as np
 
     enc = np.bitwise_or.reduce(_comp_powers(n)[list(family.members)], axis=0)
-    return CanonicalKey(n, tuple(sorted(_relabel(n, family.members, enc))))
-
-
-def canonical_form(family: SetFamily) -> SetFamily:
-    """The family relabeled to its canonical representative."""
-    return SetFamily(family.n, canonical_key(family).members)
+    return SetFamily(n, tuple(sorted(_relabel(n, family.members, enc))))
 
 
 def _orbit_lanes(n: int, encoded: Sequence[Mask]) -> tuple[tuple[int, ...], int]:
@@ -434,13 +425,6 @@ def subtree_jobs(c: EnumerationConstraints) -> list[int]:
     return list(range(1 << job_depth(c)))
 
 
-def job_label(c: EnumerationConstraints, job: int) -> str:
-    """Human-readable root of a job's subtree: its accepted masks."""
-    ctx = _search_context(c.n, c.t, c.require_universe)
-    masks = [str(ctx.pool[i]) for i in range(job_depth(c)) if job >> i & 1]
-    return ",".join(masks) if masks else "-"
-
-
 def enumerate_job(
     c: EnumerationConstraints,
     job: int,
@@ -519,10 +503,5 @@ def brute_force_enumerate(c: EnumerationConstraints) -> list[SetFamily]:
         masks = [0] + [pool[i] for i in range(size) if s >> i & 1]
         families.append(SetFamily.from_masks(c.n, masks))
     if c.up_to_iso:
-        by_key: dict[CanonicalKey, SetFamily] = {}
-        for family in families:
-            key = canonical_key(family)
-            if key not in by_key:
-                by_key[key] = SetFamily(c.n, key.members)
-        families = [by_key[k] for k in sorted(by_key)]
+        families = sorted({canonical_form(f) for f in families}, key=lambda f: f.members)
     return families

@@ -8,15 +8,8 @@ class UcfError(Exception):
 
 
 class NoNonemptyMember(UcfError):
-    """The family has no nonempty member, so T(F) is undefined."""
-
-
-class DegenerateFamily(UcfError):
-    """The family is empty or contains only the empty set."""
-
-
-class NotApplicable(UcfError):
-    """The requested statement does not apply to this family (e.g. T(F) = 1)."""
+    """The family has no nonempty member, so T(F) is undefined and the
+    conjectures say nothing about it."""
 
 
 class PreconditionViolation(UcfError):
@@ -24,7 +17,8 @@ class PreconditionViolation(UcfError):
 
 
 class NotInScope(UcfError):
-    """The family is outside the domain of the requested classification."""
+    """The family is outside the domain of the requested statement or
+    classification (e.g. T(F) = 1 for the at-least-T form)."""
 
 
 class WitnessUnavailable(UcfError):

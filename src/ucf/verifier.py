@@ -45,7 +45,6 @@ from .enumeration import (
     ensure_enumerable,
     enumerate_job,
     job_depth,
-    job_label,
     node_family,
     split_counts,
     subtree_jobs,
@@ -233,7 +232,6 @@ def _job_worker(payload: tuple) -> dict:
         raise AssertionError(f"visit stream ({tally.visited}) disagrees with count ({count})")
     return {
         "job": job,
-        "label": job_label(c, job),
         "count": count,
         "by_t": tally.by_t(),
         "by_shape": tally.by_shape(),
@@ -359,11 +357,8 @@ def run_campaign(
     def consume(record: dict) -> None:
         results[record["job"]] = record
         if ck_fh is not None:
-            # one write per job, so an interruption tears at most the last line
-            ck_fh.write(
-                f"subtree={record['label']} count={record['count']}\n"
-                f"# agg {json.dumps(record, sort_keys=True)}\n"
-            )
+            # one line per job, so an interruption tears at most the last line
+            ck_fh.write(f"# agg {json.dumps(record, sort_keys=True)}\n")
             ck_fh.flush()
         if counterexample_dir:
             for failure in record["failures"]:
@@ -514,7 +509,7 @@ def check_single(family: SetFamily) -> CheckRecord:
             notes.append("T(F)=1: the at-least-T form is not applicable, frankl verdict applies")
     shape: str | None = None
     try:
-        shape = classify_shape(closed).tag
+        shape = classify_shape(closed)
     except NotInScope:
         pass
     decomposition = None

@@ -15,14 +15,31 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
-from ucf import EnumerationConstraints, SetFamily
+from ucf import EnumerationConstraints, SetFamily, elements_of_mask
 from ucf.enumeration import _member_counts, _orbit_lanes, split_counts
 
 
+def as_sets(family: SetFamily) -> list[tuple[int, ...]]:
+    """The members as 1-based element tuples, in member order."""
+    return [elements_of_mask(mask) for mask in family.members]
+
+
 def as_frozensets(family: SetFamily) -> frozenset[frozenset[int]]:
-    return frozenset(frozenset(s) for s in family.as_sets())
+    return frozenset(frozenset(s) for s in as_sets(family))
+
+
+def relabel_mask(mask: int, perm: Sequence[int]) -> int:
+    """Apply a 0-based bit permutation: bit b of the input moves to perm[b]."""
+    return sum(1 << perm[b] for b in range(mask.bit_length()) if mask >> b & 1)
+
+
+def relabel_family(family: SetFamily, perm: Sequence[int]) -> SetFamily:
+    """Rename elements by a 0-based bit permutation of length n."""
+    if sorted(perm) != list(range(family.n)):
+        raise ValueError("perm must be a permutation of 0..n-1")
+    return SetFamily.from_masks(family.n, (relabel_mask(mask, perm) for mask in family.members))
 
 
 def naive_closure(sets_: set[frozenset[int]]) -> set[frozenset[int]]:
@@ -45,7 +62,7 @@ def naive_canonical_members(family: SetFamily) -> tuple[int, ...]:
     best = None
     for perm in itertools.permutations(range(1, family.n + 1)):
         masks = tuple(
-            sorted(sum(1 << (perm[e - 1] - 1) for e in s) for s in family.as_sets())
+            sorted(sum(1 << (perm[e - 1] - 1) for e in s) for s in as_sets(family))
         )
         if best is None or masks < best:
             best = masks
@@ -70,7 +87,7 @@ def max_matching_by_recursion(masks: list[int], target: int) -> int:
 
 
 def count_containing(family: SetFamily, element: int) -> int:
-    return sum(1 for s in family.as_sets() if element in s)
+    return sum(1 for s in as_sets(family) if element in s)
 
 
 @dataclass(frozen=True)
@@ -99,8 +116,8 @@ def asc_search(n: int, t: int, universe: bool) -> AscSearch:
         tuple(-1 if a | b in (a, b) else pos.get(a | b, -1) for b in range(full + 1))
         for a in range(full + 1)
     )
-    # encode complemented members, so the kept orbit representative is the
-    # one canonical_key names
+    # encode complemented members, so the kept orbit representative is
+    # canonical_form's
     steps, high = _orbit_lanes(n, [full ^ m for m in pool])
     members = (0, full) if universe else (0,)
     return AscSearch(

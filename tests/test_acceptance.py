@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import asc_by_t, max_matching_by_recursion, naive_closure
+from oracles import as_frozensets, asc_by_t, max_matching_by_recursion, naive_closure, relabel_family
 from ucf import (
     SHAPE_TAGS,
     CampaignIncomplete,
@@ -22,7 +22,7 @@ from ucf import (
     NoNonemptyMember,
     SetFamily,
     brute_force_enumerate,
-    canonical_key,
+    canonical_form,
     check_single,
     enumerate_families,
     frankl_holds,
@@ -31,7 +31,6 @@ from ucf import (
     is_union_closed,
     lemma_1_2_bound,
     pair_decompose,
-    relabel_family,
     run_campaign,
     s_frankl_holds,
     t_value,
@@ -126,8 +125,8 @@ def test_criterion_3_oracle_equivalence_n_le_4():
                     assert Counter(f.members for f in oracle) == Counter(
                         f.members for f in search
                     ), c
-                    assert Counter(canonical_key(f) for f in oracle) == Counter(
-                        canonical_key(f) for f in search
+                    assert Counter(canonical_form(f) for f in oracle) == Counter(
+                        canonical_form(f) for f in search
                     ), c
                     checked += 1
     assert checked == 36
@@ -148,9 +147,9 @@ def test_criterion_3_oracle_equivalence_n6_slices(t, raw, iso):
     assert Counter(f.members for f in oracle) == Counter(f.members for f in search)
 
     c_iso = EnumerationConstraints(6, t, up_to_iso=True)
-    oracle_keys = [canonical_key(f) for f in brute_force_enumerate(c_iso)]
-    search_keys = [canonical_key(f) for f in collect(c_iso)]
-    assert sorted(oracle_keys) == sorted(search_keys)
+    oracle_keys = [canonical_form(f) for f in brute_force_enumerate(c_iso)]
+    search_keys = [canonical_form(f) for f in collect(c_iso)]
+    assert Counter(oracle_keys) == Counter(search_keys)
     assert len(search_keys) == iso
     print(f"ACCEPTANCE 3b: oracle equivalence at n=6 t={t} ({raw}/{iso}): PASS")
 
@@ -243,8 +242,8 @@ def test_criterion_7_property_suite():
         closed = union_closure(family)
         assert is_union_closed(closed)
         assert union_closure(closed) == closed
-        naive = naive_closure({frozenset(s) for s in family.as_sets()})
-        assert {frozenset(s) for s in closed.as_sets()} == naive
+        naive = naive_closure(set(as_frozensets(family)))
+        assert as_frozensets(closed) == naive
 
     # relabeling equivariance of T, frequencies, and verdicts
     for _ in range(200):
@@ -281,8 +280,8 @@ def test_criterion_7_property_suite():
     # canonical-key orbit invariance over the whole of S_4
     for _ in range(100):
         family = random_family(4)
-        key = canonical_key(family)
+        key = canonical_form(family)
         for perm in itertools.permutations(range(4)):
-            assert canonical_key(relabel_family(family, perm)) == key
+            assert canonical_form(relabel_family(family, perm)) == key
 
     print("ACCEPTANCE 7: property suite (closure/relabel/matching/canonical): PASS")

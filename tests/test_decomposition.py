@@ -33,21 +33,19 @@ def closed_n6(*sets_):
 class TestClassifyShape:
     def test_three_level_only(self):
         f = closed_n6([1, 2, 3], [1, 2, 3, 4, 5, 6])
-        assert classify_shape(f).tag == "G3"
+        assert classify_shape(f) == "G3"
 
     def test_with_five_level(self):
         f = closed_n6([1, 2, 3], [1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 6])
-        assert classify_shape(f).tag == "G3_G5"
+        assert classify_shape(f) == "G3_G5"
 
     def test_with_four_level(self):
         f = closed_n6([1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4, 5, 6])
-        assert classify_shape(f).tag == "G3_G4"
+        assert classify_shape(f) == "G3_G4"
 
     def test_with_both_upper_levels(self):
         f = closed_n6([1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 6])
-        shape = classify_shape(f)
-        assert shape.tag == "G3_G4_G5"
-        assert shape.levels.counts[3] >= 1
+        assert classify_shape(f) == "G3_G4_G5"
 
     def test_wrong_ground_size(self):
         f = SetFamily.from_sets(5, [[], [1, 2, 3], [1, 2, 3, 4, 5]])

@@ -8,27 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ucf.enumeration as enumeration
-from oracles import asc_families, asc_walk, naive_canonical_members
+from oracles import asc_families, asc_walk, naive_canonical_members, relabel_family
 from ucf import (
-    CanonicalKey,
     EnumerationConstraints,
     InfeasibleScale,
     SetFamily,
     brute_force_enumerate,
     canonical_form,
-    canonical_key,
     enumerate_families,
-    enumerate_job,
-    ensure_enumerable,
     full_mask,
     is_union_closed,
-    job_depth,
-    job_label,
-    relabel_family,
-    subtree_jobs,
     t_value,
 )
-from ucf.enumeration import node_family
+from ucf.enumeration import enumerate_job, ensure_enumerable, job_depth, node_family, subtree_jobs
 
 # counts frozen from the brute-force oracle at n <= 4 and cross-checked
 # against the ascending walk of tests/oracles.py at n = 5
@@ -91,47 +83,48 @@ class TestConstraints:
 
 class TestCanonicalKey:
     def test_empty_family(self):
-        assert canonical_key(SetFamily(4, ())) == CanonicalKey(4, ())
+        assert canonical_form(SetFamily(4, ())) == SetFamily(4, ())
 
     def test_scale_cap(self):
         with pytest.raises(InfeasibleScale):
-            canonical_key(SetFamily(8, (0, 1)))
+            canonical_form(SetFamily(8, (0, 1)))
 
     def test_scale_cap_at_seven(self):
         # mask images reach 127 at n=7, past the 64-bit encoding lanes
         with pytest.raises(InfeasibleScale):
-            canonical_key(SetFamily.from_sets(7, [[1], [2]]))
+            canonical_form(SetFamily.from_sets(7, [[1], [2]]))
         with pytest.raises(InfeasibleScale):
             canonical_form(SetFamily(7, (0, 127)))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 6).flatmap(family_strategy))
     def test_matches_permutation_scan(self, family):
-        assert canonical_key(family).members == naive_canonical_members(family)
+        assert canonical_form(family).members == naive_canonical_members(family)
 
     @settings(max_examples=40)
     @given(family_strategy(4))
     def test_orbit_invariance_all_perms(self, family):
-        key = canonical_key(family)
+        key = canonical_form(family)
         for perm in itertools.permutations(range(4)):
-            assert canonical_key(relabel_family(family, perm)) == key
+            assert canonical_form(relabel_family(family, perm)) == key
 
     @settings(max_examples=40)
     @given(family_strategy(4))
     def test_canonical_form_is_fixed_point(self, family):
         form = canonical_form(family)
-        assert canonical_key(form).members == form.members
         assert canonical_form(form) == form
 
     def test_distinct_orbits_get_distinct_keys(self):
         a = SetFamily.from_sets(3, [[1], [1, 2]])
         b = SetFamily.from_sets(3, [[1], [2, 3]])
-        assert canonical_key(a) != canonical_key(b)
+        assert canonical_form(a) != canonical_form(b)
 
     def test_keys_order_totally(self):
-        a = canonical_key(SetFamily.from_sets(3, [[1]]))
-        b = canonical_key(SetFamily.from_sets(3, [[1], [1, 2]]))
-        assert (a < b) != (b < a)
+        # forms are hashable keys, ordered by their member tuples
+        a = canonical_form(SetFamily.from_sets(3, [[1]]))
+        b = canonical_form(SetFamily.from_sets(3, [[1], [1, 2]]))
+        assert len({a, b}) == 2
+        assert (a.members < b.members) != (b.members < a.members)
 
 
 class TestEnumerateFamilies:
@@ -155,7 +148,7 @@ class TestEnumerateFamilies:
     def test_no_universe_variant(self):
         c = EnumerationConstraints(3, 1, require_universe=False)
         families = collect(c)
-        assert any(full_mask(3) not in f for f in families)
+        assert any(full_mask(3) not in f.members for f in families)
         # {0} alone qualifies once the universe is optional
         assert SetFamily(3, (0,)) in families
 
@@ -169,7 +162,7 @@ class TestEnumerateFamilies:
         c = EnumerationConstraints(4, 2, up_to_iso=True)
         for families in (collect(c), asc_families(c)):
             for f in families:
-                assert f.members == canonical_key(f).members
+                assert f == canonical_form(f)
 
     def test_iso_desc_families_are_their_canonical_forms(self):
         families = collect(EnumerationConstraints(5, 2, up_to_iso=True))
@@ -202,9 +195,9 @@ class TestEnumerateFamilies:
             assert node_family(c, chosen) == family
 
     def test_iso_collapses_raw_orbits_exactly(self):
-        raw_keys = {canonical_key(f) for f in collect(EnumerationConstraints(4, 2))}
+        raw_keys = {canonical_form(f) for f in collect(EnumerationConstraints(4, 2))}
         iso = collect(EnumerationConstraints(4, 2, up_to_iso=True))
-        assert {canonical_key(f) for f in iso} == raw_keys
+        assert {canonical_form(f) for f in iso} == raw_keys
         assert len(iso) == len(raw_keys)
 
     def test_visit_stream_deterministic(self):
@@ -224,14 +217,6 @@ class TestJobPartition:
         c = EnumerationConstraints(2, 1)
         assert job_depth(c) == 0
         assert subtree_jobs(c) == [0]
-
-    def test_job_label(self):
-        c = EnumerationConstraints(4, 1)
-        assert job_label(c, 0) == "-"
-        depth = job_depth(c)
-        assert depth > 0
-        label = job_label(c, (1 << depth) - 1)
-        assert len(label.split(",")) == depth
 
     @pytest.mark.parametrize("order", ["desc", "asc"])
     @pytest.mark.parametrize("iso", [False, True])
@@ -270,7 +255,7 @@ class TestBruteForceOracle:
     def test_n2_census(self):
         families = brute_force_enumerate(EnumerationConstraints(2, 1))
         assert len(families) == 4
-        assert all(0 in f and 3 in f for f in families)
+        assert all(0 in f.members and 3 in f.members for f in families)
 
     @pytest.mark.parametrize("n,t", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
     @pytest.mark.parametrize("universe", [True, False])

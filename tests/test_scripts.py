@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_script(path: Path, cwd: Path) -> None:
-    # temporary files, such as demo 05's checkpoint, land in cwd
+    # temporary files, such as demo 05's checkpoint, land in cwd too
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(cwd))
     out = subprocess.run([sys.executable, str(path)], cwd=cwd, env=env, capture_output=True, text=True, timeout=600)
     assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]
@@ -22,6 +22,8 @@ def run_script(path: Path, cwd: Path) -> None:
 @pytest.mark.parametrize("demo", sorted(path.name for path in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo, tmp_path):
     run_script(ROOT / "demos" / demo, tmp_path)
+    # a demo cleans up after itself: nothing is left in its TMPDIR
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_selftest_passes(tmp_path):

@@ -20,9 +20,9 @@ from ucf import (
     frequency_profile,
     parse_family,
     run_campaign,
-    subtree_jobs,
     union_closure,
 )
+from ucf.enumeration import subtree_jobs
 
 N3T1 = EnumerationConstraints(3, 1)
 
@@ -183,7 +183,8 @@ class TestCheckpoint:
             run_campaign(c, checkpoint=ck, max_jobs=5)
         text = open(ck).read().splitlines()
         assert text[0].startswith("# campaign ")
-        assert sum(1 for ln in text if ln.startswith("subtree=")) == 5
+        # the header, then one record line per finished job
+        assert len(text) == 1 + 5
         assert sum(1 for ln in text if ln.startswith("# agg ")) == 5
         resumed = run_campaign(c, checkpoint=ck)
         fresh = run_campaign(c)
@@ -257,18 +258,16 @@ class TestCheckpoint:
             run_campaign(c, checkpoint=str(ck))
 
     def test_count_lines_alone_do_not_mark_jobs_done(self, tmp_path):
-        # progress lines without their aggregate records are re-run
+        # legacy subtree=... count=... lines without their aggregate
+        # records do not mark jobs done: every job runs again
         c = EnumerationConstraints(4, 2)
         ck = tmp_path / "run.ck"
-        run_campaign(c, checkpoint=str(ck))
-        kept = [
-            ln
-            for ln in ck.read_text().splitlines()
-            if not ln.startswith("# agg ")
-        ]
-        ck.write_text("\n".join(kept) + "\n")
+        kept = [ln for ln in OLD_N4T2_CHECKPOINT.splitlines(keepends=True) if not ln.startswith("# agg ")]
+        assert sum(1 for ln in kept if ln.startswith("subtree=")) == 3
+        ck.write_text("".join(kept))
         report = run_campaign(c, checkpoint=str(ck))
         assert report.body_bytes() == run_campaign(c).body_bytes()
+        assert ck.read_text().count("# agg ") == len(subtree_jobs(c))
 
 
 class TestCheckSingle:
