@@ -30,7 +30,7 @@ print("union-closed?", is_union_closed(closed))
 # T(F) is the smallest nonempty member size; the level profile counts
 # members by cardinality
 print("T(F) =", t_value(closed))
-print("members by cardinality:", level_profile(closed).counts)
+print("members by cardinality:", level_profile(closed))
 
 # an element is abundant when it belongs to at least half the members
 # (the integer test 2*freq >= m; no floating point anywhere)

@@ -12,25 +12,27 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from ucf import CampaignIncomplete, EnumerationConstraints, run_campaign
+from ucf import EnumerationConstraints, run_campaign
 
 c = EnumerationConstraints(n=5, t=3)
 
 with tempfile.TemporaryDirectory() as tmp:
     checkpoint = Path(tmp) / "n5t3.ck"
 
-    # first session: stop after 40 of the subtrees
-    try:
-        run_campaign(c, checkpoint=str(checkpoint), max_jobs=40)
-    except CampaignIncomplete as exc:
-        print("interrupted:", exc)
+    # first session: the whole campaign
+    run_campaign(c, checkpoint=str(checkpoint))
 
     # a header line, then one "# agg" record per finished subtree
-    lines = checkpoint.read_text().splitlines()
-    print(f"\ncheckpoint holds {sum(1 for ln in lines if ln.startswith('# agg '))} "
+    lines = checkpoint.read_text().splitlines(keepends=True)
+    print(f"checkpoint holds {sum(1 for ln in lines if ln.startswith('# agg '))} "
           "finished subtrees; first lines:")
     for line in lines[:3]:
         print(" ", line[:76])
+
+    # cut it back to the header and 40 records: what a run killed after
+    # 40 subtrees leaves
+    checkpoint.write_text("".join(lines[:41]))
+    print("\ninterrupted: kept the header and 40 finished subtrees")
 
     # second session: same checkpoint, remaining subtrees only
     report = run_campaign(c, checkpoint=str(checkpoint))
@@ -41,4 +43,4 @@ print("counterexamples:", len(report.counterexamples))
 # the report body carries no run metadata, so reruns compare bytewise
 fresh = run_campaign(c, workers=2)
 assert fresh.body_bytes() == report.body_bytes()
-print("split run == fresh 2-worker run, byte for byte")
+print("resumed run == fresh 2-worker run, byte for byte")

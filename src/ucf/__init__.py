@@ -10,7 +10,6 @@ with deterministic reports.
 from .core import (
     FrequencyProfile,
     Lemma12Result,
-    LevelProfile,
     Mask,
     SetFamily,
     elements_of_mask,
@@ -40,7 +39,6 @@ from .enumeration import (
     enumerate_families,
 )
 from .errors import (
-    CampaignIncomplete,
     InfeasibleScale,
     NoNonemptyMember,
     NotInScope,
@@ -60,14 +58,12 @@ from .verifier import (
 
 __all__ = [
     "AbundanceWitness",
-    "CampaignIncomplete",
     "CheckRecord",
     "CHECK_NAMES",
     "EnumerationConstraints",
     "FrequencyProfile",
     "InfeasibleScale",
     "Lemma12Result",
-    "LevelProfile",
     "Mask",
     "NoNonemptyMember",
     "NotInScope",

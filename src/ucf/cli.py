@@ -15,7 +15,7 @@ import sys
 
 from .core import union_closure
 from .enumeration import MAX_ENUM_GROUND, EnumerationConstraints, brute_force_enumerate, enumerate_families
-from .errors import CampaignIncomplete, ParseError, UcfError
+from .errors import ParseError, UcfError
 from .fileformat import format_family, parse_family
 from .verifier import CHECK_NAMES, check_single, run_campaign
 
@@ -179,9 +179,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except CampaignIncomplete as exc:
-        print(f"campaign incomplete: {exc}", file=sys.stderr)
         return 2
     except (UcfError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

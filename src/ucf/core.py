@@ -92,12 +92,6 @@ class SetFamily:
         return tuple(mask for mask in self.members if mask.bit_count() == k)
 
 
-class LevelProfile(NamedTuple):
-    """counts[k] = number of members of cardinality k, for k = 0..n."""
-
-    counts: tuple[int, ...]
-
-
 class FrequencyProfile(NamedTuple):
     """Element frequencies of a family.
 
@@ -160,11 +154,12 @@ def t_value(family: SetFamily) -> int:
     return best
 
 
-def level_profile(family: SetFamily) -> LevelProfile:
+def level_profile(family: SetFamily) -> tuple[int, ...]:
+    """counts[k] = number of members of cardinality k, for k = 0..n."""
     counts = [0] * (family.n + 1)
     for mask in family.members:
         counts[mask.bit_count()] += 1
-    return LevelProfile(tuple(counts))
+    return tuple(counts)
 
 
 def frequency_profile(family: SetFamily) -> FrequencyProfile:

@@ -63,9 +63,6 @@ class AbundanceWitness:
     m: int
     counts: tuple[int, ...]
 
-    def certificate(self, element: int) -> tuple[int, int]:
-        return self.counts[self.elements.index(element)], self.m
-
 
 def classify_shape(family: SetFamily) -> str:
     """The SHAPE_TAGS entry naming which of the 4/5 levels of an n=6,
@@ -90,7 +87,7 @@ def classify_shape(family: SetFamily) -> str:
         raise NotInScope(f"shape taxonomy needs T(F)=3, got T={t}")
     if not is_union_closed(family):
         raise NotInScope("family is not union-closed")
-    levels = level_profile(family).counts
+    levels = level_profile(family)
     return SHAPE_TAGS[2 * (levels[4] > 0) + (levels[5] > 0)]
 
 

@@ -29,10 +29,6 @@ class InfeasibleScale(UcfError):
     """The requested computation is outside the supported envelope."""
 
 
-class CampaignIncomplete(UcfError):
-    """A verification campaign stopped before all subtrees were processed."""
-
-
 class ParseError(UcfError):
     """A family file is malformed. Carries the 1-based offending line number."""
 

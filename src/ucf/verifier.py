@@ -17,12 +17,13 @@ import json
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .core import (
     Mask,
     SetFamily,
+    elements_of_mask,
     frankl_holds,
     frequency_profile,
     full_mask,
@@ -50,7 +51,6 @@ from .enumeration import (
     subtree_jobs,
 )
 from .errors import (
-    CampaignIncomplete,
     NoNonemptyMember,
     NotInScope,
     PreconditionViolation,
@@ -58,10 +58,9 @@ from .errors import (
 )
 from .fileformat import format_family
 
-CHECK_NAMES = ("frankl", "s_frankl", "lemma_1_2_spot")
 
-
-def _failure_record(check: str, family: SetFamily, extra: dict | None = None) -> dict:
+def _failure_record(check: str, family: SetFamily) -> dict:
+    """The counterexample record of a family that failed check."""
     prof = frequency_profile(family)
     try:
         t = t_value(family)
@@ -75,20 +74,11 @@ def _failure_record(check: str, family: SetFamily, extra: dict | None = None) ->
         "freq": list(prof.freq),
         "abundant": sorted(prof.abundant),
     }
-    if extra:
-        record.update(extra)
-    return record
-
-
-def _check_failure(check: str, family: SetFamily) -> dict:
-    """The counterexample record of a family that failed check."""
-    extra = None
     if check == "lemma_1_2_spot":
         coatoms = family.members_of_size(family.n - 1)
         if len(coatoms) >= 2:
-            result = lemma_1_2_bound(full_mask(family.n), SetFamily(family.n, coatoms))
-            extra = {"min_freq": result.min_freq}
-    return _failure_record(check, family, extra)
+            record["min_freq"] = lemma_1_2_bound(full_mask(family.n), SetFamily(family.n, coatoms)).min_freq
+    return record
 
 
 # Each check reads two counters of one enumerated family, T(F) (0 when
@@ -121,6 +111,7 @@ CHECK_FNS = {
     "s_frankl": _s_frankl_ok,
     "lemma_1_2_spot": _lemma_1_2_spot_ok,
 }
+CHECK_NAMES = tuple(CHECK_FNS)
 
 
 @dataclass
@@ -138,12 +129,7 @@ class VerificationReport:
         """The invariant report content: everything that must be
         byte-identical across worker counts."""
         return {
-            "constraints": {
-                "n": self.constraints.n,
-                "t": self.constraints.t,
-                "require_universe": self.constraints.require_universe,
-                "up_to_iso": self.constraints.up_to_iso,
-            },
+            "constraints": asdict(self.constraints),
             "checks": list(self.checks),
             "families_total": self.families_total,
             "families_by_T": {str(k): v for k, v in sorted(self.families_by_T.items())},
@@ -214,7 +200,7 @@ class _JobTally:
     def _record(self, fails: tuple[str, ...], chosen: list[int]) -> None:
         family = node_family(self.c, chosen)
         for name in fails:
-            self.failures.append(_check_failure(name, family))
+            self.failures.append(_failure_record(name, family))
 
     def by_t(self) -> dict[int, int]:
         return {t: k for t, k in enumerate(self.t_counts) if k}
@@ -224,8 +210,7 @@ class _JobTally:
 
 
 def _job_worker(payload: tuple) -> dict:
-    (n, t, require_universe, up_to_iso, checks, unbounded, job) = payload
-    c = EnumerationConstraints(n, t, require_universe, up_to_iso)
+    c, checks, unbounded, job = payload
     tally = _JobTally(c, checks)
     count = enumerate_job(c, job, tally.visit, unbounded=unbounded)
     if count != tally.visited:
@@ -245,16 +230,7 @@ def _header_line(header: dict) -> str:
 
 def _checkpoint_header(c: EnumerationConstraints, checks: Sequence[str]) -> dict:
     # fixed "order"/"lemma_every": old checkpoints resume; an "asc" or sampled one is another campaign
-    return {
-        "n": c.n,
-        "t": c.t,
-        "require_universe": c.require_universe,
-        "up_to_iso": c.up_to_iso,
-        "order": "desc",
-        "depth": job_depth(c),
-        "checks": list(checks),
-        "lemma_every": 1,
-    }
+    return {**asdict(c), "order": "desc", "depth": job_depth(c), "checks": list(checks), "lemma_every": 1}
 
 
 def _checkpoint_json(path: str, lineno: int, text: str):
@@ -322,15 +298,14 @@ def run_campaign(
     checkpoint: str | None = None,
     counterexample_dir: str | None = None,
     unbounded: bool = False,
-    max_jobs: int | None = None,
 ) -> VerificationReport:
     """Run every selected check on every enumerated family.
 
     Totals are exact; the report body is independent of the worker
-    count.  With a checkpoint path,
-    completed subtrees are recorded as they finish and skipped on the
-    next run; max_jobs limits this run to that many subtrees and raises
-    CampaignIncomplete if work remains (split-run support).
+    count.  With a checkpoint path, each subtree is recorded as it
+    finishes and skipped on the next run with the same path, so a run
+    that was interrupted (killed, torn mid-write, or stopped by an
+    exception in a job) resumes to the same report body.
     """
     checks = tuple(checks)
     for name in checks:
@@ -341,8 +316,6 @@ def run_campaign(
     jobs = subtree_jobs(c)
     header = _checkpoint_header(c, checks)
     done, keep = _load_checkpoint(checkpoint, header, len(jobs)) if checkpoint else ({}, 0)
-    pending = [j for j in jobs if j not in done]
-    todo = pending if max_jobs is None else pending[:max_jobs]
 
     ck_fh = None
     if checkpoint:
@@ -352,10 +325,8 @@ def run_campaign(
             ck_fh.write(_header_line(header))
             ck_fh.flush()
 
-    results: dict[int, dict] = {}
-
     def consume(record: dict) -> None:
-        results[record["job"]] = record
+        done[record["job"]] = record
         if ck_fh is not None:
             # one line per job, so an interruption tears at most the last line
             ck_fh.write(f"# agg {json.dumps(record, sort_keys=True)}\n")
@@ -364,10 +335,7 @@ def run_campaign(
             for failure in record["failures"]:
                 _dump_counterexample(counterexample_dir, failure)
 
-    payloads = [
-        (c.n, c.t, c.require_universe, c.up_to_iso, checks, unbounded, job)
-        for job in todo
-    ]
+    payloads = [(c, checks, unbounded, job) for job in jobs if job not in done]
     try:
         if workers <= 1 or len(payloads) <= 1:
             for payload in payloads:
@@ -382,19 +350,12 @@ def run_campaign(
         if ck_fh is not None:
             ck_fh.close()
 
-    if len(todo) < len(pending):
-        raise CampaignIncomplete(
-            f"{len(pending) - len(todo)} of {len(jobs)} subtrees remain; "
-            "re-run with the same checkpoint to finish"
-        )
-
-    merged = {**done, **results}
     families_total = 0
     by_t: dict[int, int] = {}
     by_shape: dict[str, int] = {}
     counterexamples: list[dict] = []
     for job in jobs:
-        record = merged[job]
+        record = done[job]
         families_total += record["count"]
         for key, value in record["by_t"].items():
             by_t[int(key)] = by_t.get(int(key), 0) + value
@@ -443,13 +404,10 @@ class CheckRecord:
     verdict: str  # "pass" | "fail" | "not-applicable"
 
     def to_dict(self) -> dict:
-        def set_list(mask: Mask) -> list[int]:
-            return [e + 1 for e in range(self.closed.n) if mask >> e & 1]
-
         out: dict = {
             "family": format_family(self.family),
             "was_union_closed": self.was_union_closed,
-            "closure_added": [set_list(m) for m in self.closure_added],
+            "closure_added": [list(elements_of_mask(m)) for m in self.closure_added],
             "t": self.t,
             "levels": list(self.levels),
             "freq": list(self.freq),
@@ -466,9 +424,9 @@ class CheckRecord:
         if self.decomposition is not None:
             out["decomposition"] = {
                 "k": self.decomposition.k,
-                "pairs": [[set_list(a), set_list(b)] for a, b in self.decomposition.pairs],
-                "residue": [set_list(m) for m in self.decomposition.residue],
-                "target": set_list(self.decomposition.target),
+                "pairs": [[list(elements_of_mask(a)), list(elements_of_mask(b))] for a, b in self.decomposition.pairs],
+                "residue": [list(elements_of_mask(m)) for m in self.decomposition.residue],
+                "target": list(elements_of_mask(self.decomposition.target)),
             }
         if self.witness is not None:
             out["witness"] = {
@@ -492,7 +450,6 @@ def check_single(family: SetFamily) -> CheckRecord:
             f"input is not union-closed; {len(added)} set(s) added, verdicts refer to the closure"
         )
     prof = frequency_profile(closed)
-    levels = level_profile(closed)
     t: int | None
     frankl: bool | None = None
     s_frankl: bool | None = None
@@ -533,7 +490,7 @@ def check_single(family: SetFamily) -> CheckRecord:
         was_union_closed=was_closed,
         closure_added=added,
         t=t,
-        levels=levels.counts,
+        levels=level_profile(closed),
         freq=prof.freq,
         m=prof.m,
         abundant=tuple(sorted(prof.abundant)),

@@ -17,7 +17,6 @@ import pytest
 from oracles import as_frozensets, asc_by_t, max_matching_by_recursion, naive_closure, relabel_family
 from ucf import (
     SHAPE_TAGS,
-    CampaignIncomplete,
     EnumerationConstraints,
     NoNonemptyMember,
     SetFamily,
@@ -54,16 +53,17 @@ def collect(c: EnumerationConstraints) -> list[SetFamily]:
     return out
 
 
-def test_criterion_1_main_theorem_exhaustive_n6_t3(tmp_path):
+def test_criterion_1_main_theorem_exhaustive_n6_t3(tmp_path, interrupt_at_job):
     """Every isomorphism class of union-closed F over M_6 with
     emptyset, M_6 in F and T(F) = 3 is visited, with zero failures of
-    the at-least-three-abundant-elements statement.  The run is split
-    across a checkpoint to prove resumability; a single core finishes
-    in about 4.5 seconds, far inside the 8-worker hour."""
+    the at-least-three-abundant-elements statement.  The run is
+    interrupted after 128 subtrees and resumed from its checkpoint to
+    prove resumability; a single core finishes in about 4.5 seconds,
+    far inside the 8-worker hour."""
     c = EnumerationConstraints(6, 3, up_to_iso=True)
     checkpoint = str(tmp_path / "flagship.ck")
-    with pytest.raises(CampaignIncomplete):
-        run_campaign(c, checkpoint=checkpoint, max_jobs=128)
+    with interrupt_at_job(128):
+        run_campaign(c, checkpoint=checkpoint)
     report = run_campaign(c, checkpoint=checkpoint)
 
     assert report.counterexamples == []

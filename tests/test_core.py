@@ -173,7 +173,7 @@ class TestProfilesAndT:
 
     def test_level_profile(self):
         f = SetFamily.from_sets(4, [[], [1], [2], [1, 2, 3, 4]])
-        assert level_profile(f).counts == (1, 2, 0, 0, 1)
+        assert level_profile(f) == (1, 2, 0, 0, 1)
 
     def test_frequency_profile(self):
         f = SetFamily.from_sets(3, [[], [1], [1, 2], [1, 2, 3]])

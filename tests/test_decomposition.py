@@ -153,7 +153,6 @@ class TestAbundanceWitness:
         assert w.elements == (1, 2, 3)
         assert w.m == 3
         assert w.counts == (2, 2, 2)
-        assert w.certificate(2) == (2, 3)
 
     def test_every_element_abundant(self):
         f = SetFamily.from_sets(6, [[], [1, 2, 3], [4, 5, 6], [1, 2, 3, 4, 5, 6]])

@@ -18,6 +18,8 @@ RETIRED = (
     "enumerate_job",
     "ensure_enumerable",
     "BRUTE_FORCE_POOL_CAP",
+    "CampaignIncomplete",
+    "LevelProfile",
 )
 
 

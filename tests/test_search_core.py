@@ -52,7 +52,7 @@ def assert_counters_match(family: SetFamily, counters: tuple[int, int, int, int]
         assert sorted(lanes(freq, n)) == sorted(prof.freq)
     else:
         assert lanes(freq, n) == prof.freq
-    assert lanes(levels, n + 1) == level_profile(family).counts
+    assert lanes(levels, n + 1) == level_profile(family)
     try:
         assert t == t_value(family)
     except NoNonemptyMember:

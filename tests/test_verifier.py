@@ -9,7 +9,6 @@ import ucf.verifier as verifier
 from oracles import asc_by_t
 from ucf import (
     SHAPE_TAGS,
-    CampaignIncomplete,
     EnumerationConstraints,
     InfeasibleScale,
     PreconditionViolation,
@@ -26,9 +25,9 @@ from ucf.enumeration import subtree_jobs
 
 N3T1 = EnumerationConstraints(3, 1)
 
-# the first three jobs of run_campaign(EnumerationConstraints(4, 2),
-# checkpoint=..., max_jobs=3) as written while campaigns still took a
-# candidate order and a lemma sampling rate
+# the first three jobs of a run_campaign(EnumerationConstraints(4, 2),
+# checkpoint=...) stopped after three subtrees, as written while
+# campaigns still took a candidate order and a lemma sampling rate
 OLD_N4T2_CHECKPOINT = (
     '# campaign {"checks": ["frankl", "s_frankl"], "depth": 4, "lemma_every": 1, "n": 4, '
     '"order": "desc", "require_universe": true, "t": 2, "up_to_iso": false}\n'
@@ -67,7 +66,7 @@ class TestRunCampaign:
     def test_shape_statistics_accumulate_per_job(self):
         # one subtree of the n=6, t=3 campaign exercises the shape
         # tally; the full campaign is covered by the acceptance suite
-        payload = (6, 3, True, True, ("frankl", "s_frankl"), False, 0)
+        payload = (EnumerationConstraints(6, 3, up_to_iso=True), ("frankl", "s_frankl"), False, 0)
         record = verifier._job_worker(payload)
         assert record["count"] > 0
         assert set(record["by_shape"]) <= set(SHAPE_TAGS)
@@ -176,11 +175,11 @@ class TestCounterexamplePlumbing:
 
 
 class TestCheckpoint:
-    def test_split_run_resumes_to_identical_body(self, tmp_path):
+    def test_split_run_resumes_to_identical_body(self, tmp_path, interrupt_at_job):
         c = EnumerationConstraints(4, 1)
         ck = str(tmp_path / "run.ck")
-        with pytest.raises(CampaignIncomplete):
-            run_campaign(c, checkpoint=ck, max_jobs=5)
+        with interrupt_at_job(5):
+            run_campaign(c, checkpoint=ck)
         text = open(ck).read().splitlines()
         assert text[0].startswith("# campaign ")
         # the header, then one record line per finished job
@@ -189,6 +188,18 @@ class TestCheckpoint:
         resumed = run_campaign(c, checkpoint=ck)
         fresh = run_campaign(c)
         assert resumed.body_bytes() == fresh.body_bytes()
+
+    def test_interrupted_pool_run_resumes_to_identical_body(self, tmp_path, interrupt_at_job):
+        c = EnumerationConstraints(5, 2)
+        ck = str(tmp_path / "run.ck")
+        failed = 511  # a nonempty subtree mid-campaign
+        with interrupt_at_job(failed):
+            run_campaign(c, workers=2, checkpoint=ck)
+        jobs = [json.loads(ln[len("# agg "):])["job"] for ln in open(ck) if ln.startswith("# agg ")]
+        assert len(jobs) < len(subtree_jobs(c))
+        assert failed not in jobs
+        resumed = run_campaign(c, workers=2, checkpoint=ck)
+        assert resumed.body_bytes() == run_campaign(c).body_bytes()
 
     def test_finished_checkpoint_makes_rerun_instant(self, tmp_path):
         c = EnumerationConstraints(4, 2)
