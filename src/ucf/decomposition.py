@@ -18,7 +18,7 @@ from .core import (
     t_value,
 )
 from .errors import (
-    NoNonemptyMember,
+    InfeasibleScale,
     NotInScope,
     PreconditionViolation,
     WitnessUnavailable,
@@ -26,6 +26,9 @@ from .errors import (
 
 # indexed by (has a 4-set, has a 5-set) read as two binary digits
 SHAPE_TAGS = ("G3", "G3_G5", "G3_G4", "G3_G4_G5")
+# pair_decompose's memoized search is exponential in the slice size;
+# every level over M_6 holds at most C(6, 3) = 20 masks
+MAX_EXACT_SLICE = 20
 
 
 @dataclass(frozen=True)
@@ -79,10 +82,7 @@ def classify_shape(family: SetFamily) -> str:
         raise NotInScope("the empty set must be a member")
     if full_mask(6) not in members:
         raise NotInScope("the full ground set must be a member")
-    try:
-        t = t_value(family)
-    except NoNonemptyMember:  # only {...} without nonempty sets
-        raise NotInScope("no nonempty member")
+    t = t_value(family)  # M_6 is a nonempty member
     if t != 3:
         raise NotInScope(f"shape taxonomy needs T(F)=3, got T={t}")
     if not is_union_closed(family):
@@ -119,8 +119,10 @@ def pair_decompose(slice_masks: Sequence[Mask], target: Mask) -> PairDecompositi
     Deterministic tie-break: among maximum matchings, the pair list that
     is lexicographically least under the input index order (so the
     lowest index is matched whenever some maximum matching does so, with
-    the smallest possible partner).  Exhaustive via memoized search;
-    exact for the slice sizes that occur here (single levels over M_6).
+    the smallest possible partner).  Exhaustive via memoized search,
+    which is exponential in the slice size: slices of more than
+    MAX_EXACT_SLICE masks (more than any level over M_6 holds) raise
+    InfeasibleScale.
     """
     masks = list(slice_masks)
     seen: set[Mask] = set()
@@ -131,6 +133,8 @@ def pair_decompose(slice_masks: Sequence[Mask], target: Mask) -> PairDecompositi
         if mask | target != target:
             raise PreconditionViolation(f"slice member {mask} is not a subset of the target universe")
     size = len(masks)
+    if size > MAX_EXACT_SLICE:
+        raise InfeasibleScale(f"slice of {size} masks; the exact pair search stops at {MAX_EXACT_SLICE}")
     nbr = [0] * size
     for i in range(size):
         for j in range(i + 1, size):

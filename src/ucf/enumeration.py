@@ -14,7 +14,11 @@ The search decides candidates in descending mask order.  A union of two
 masks is numerically >= both, so when a candidate is accepted every
 union constraint it creates points at already-decided candidates:
 closure is a pure look-back test, and each accepted prefix is itself a
-complete union-closed family.  An ascending-order walk, where closure
+complete union-closed family.  The test reads a union table grouped by
+union: for candidate p it lists each earlier candidate u together with
+the bitmask of the later candidates whose union with p is u, so
+accepting p keeps the candidates after it and drops each group whose u
+is absent.  An ascending-order walk, where closure
 propagates forward as forced candidates, lives in tests/oracles.py as
 an independent cross-check of the counts.
 
@@ -32,7 +36,9 @@ without losing any class.
 The orbit test is one Python int of n! lanes, one per permutation pi,
 each holding enc(identity) - enc(pi) plus a bias bit wider than any
 encoding.  Accepting a member adds one precomputed int, and the node is
-canonical iff every lane still has its bias bit set.
+canonical iff every lane still has its bias bit set.  A labelled search
+context has no lanes: every step is 0 and the bias is 0, so the same
+accept step passes every node and both modes share one walk.
 
 Next to the chosen candidates the walk carries one int of counters
 that do not change under relabeling, one byte per lane: per-element
@@ -225,18 +231,20 @@ def split_counts(n: int, counts: int) -> tuple[int, int, int, int]:
 
 @dataclass
 class _Search:
-    """Precomputed search tables for one (n, t, universe) setting."""
+    """Precomputed search tables for one EnumerationConstraints."""
 
     n: int
-    t: int
-    require_universe: bool
-    full: Mask
+    # members every node has: the empty set, and M_n when it is required
+    fixed: tuple[Mask, ...]
     pool: tuple[Mask, ...]
-    utab: tuple[tuple[int, ...], ...]
+    # groups[p]: (u, qs) pairs, qs the later candidates whose union with
+    # pool[p] is the strict superset pool[u] (an earlier candidate)
+    groups: tuple[tuple[tuple[int, int], ...], ...]
     # cols[p]: packed counters of {pool[p]}; base: of the family with no
     # candidate chosen, so a node's counters are base plus its columns
     cols: tuple[int, ...]
     base: int
+    # orbit lanes: all 0 in a labelled context, so every node passes
     steps: tuple[int, ...]
     high: int
 
@@ -246,37 +254,30 @@ class _Search:
 
 
 @lru_cache(maxsize=64)
-def _search_context(n: int, t: int, require_universe: bool) -> _Search:
+def _search_context(c: EnumerationConstraints) -> _Search:
+    n = c.n
     full = full_mask(n)
-    hi = n - 1 if require_universe else n
-    cands = [m for m in range(1, full + 1) if t <= m.bit_count() <= hi]
-    pool = tuple(sorted(cands, reverse=True))
+    fixed = (0, full) if c.require_universe else (0,)
+    pool = tuple(m for m in range(full, 0, -1) if c.t <= m.bit_count() and m not in fixed)
     pos = {mask: i for i, mask in enumerate(pool)}
-    # utab[i][j]: pool position of pool[i]|pool[j], or -1 when the union
-    # is one of the two sets or the always-present forced universe
-    utab = []
-    for a in pool:
-        row = []
-        for b in pool:
-            u = a | b
-            if u == a or u == b or (require_universe and u == full):
-                row.append(-1)
-            else:
-                row.append(pos[u])
-        utab.append(tuple(row))
-    steps, high = _orbit_lanes(n, pool)
-    base = _member_counts(0, n)
-    if require_universe:
-        base += _member_counts(full, n)
+    groups = []
+    for p, a in enumerate(pool):
+        # a union with a later (smaller) candidate is a itself or larger;
+        # a forced M_n is not in pos and constrains nothing
+        by_union: dict[int, int] = {}
+        for q in range(p + 1, len(pool)):
+            u = pos.get(a | pool[q], p)
+            if u != p:
+                by_union[u] = by_union.get(u, 0) | 1 << q
+        groups.append(tuple(by_union.items()))
+    steps, high = _orbit_lanes(n, pool) if c.up_to_iso else ((0,) * len(pool), 0)
     return _Search(
         n=n,
-        t=t,
-        require_universe=require_universe,
-        full=full,
+        fixed=fixed,
         pool=pool,
-        utab=tuple(utab),
+        groups=tuple(groups),
         cols=tuple(_member_counts(m, n) for m in pool),
-        base=base,
+        base=sum(_member_counts(m, n) for m in fixed),
         steps=steps,
         high=high,
     )
@@ -284,9 +285,7 @@ def _search_context(n: int, t: int, require_universe: bool) -> _Search:
 
 def _family(ctx: _Search, masks: list[Mask]) -> SetFamily:
     """The family of the chosen masks plus the members every node has."""
-    masks.append(0)
-    if ctx.require_universe:
-        masks.append(ctx.full)
+    masks += ctx.fixed
     masks.sort()
     return SetFamily(ctx.n, tuple(masks))
 
@@ -294,7 +293,7 @@ def _family(ctx: _Search, masks: list[Mask]) -> SetFamily:
 def node_family(c: EnumerationConstraints, chosen: Sequence[int]) -> SetFamily:
     """The family behind a counter visit's chosen positions, exactly as
     enumerate_families visits it."""
-    ctx = _search_context(c.n, c.t, c.require_universe)
+    ctx = _search_context(c)
     family = _family(ctx, [ctx.pool[p] for p in chosen])
     if c.up_to_iso:
         return canonical_form(family)
@@ -328,25 +327,18 @@ def _canonical_emit(ctx: _Search, visit: Visit) -> CounterVisit:
 
 
 def _filter_viable(ctx: _Search, viable: int, p: int, present: int) -> int:
-    """Drop candidates below p whose union with pool[p] is absent."""
-    row = ctx.utab[p]
-    out = 0
-    rem = viable & ~((1 << (p + 1)) - 1)
-    while rem:
-        low = rem & -rem
-        q = low.bit_length() - 1
-        rem ^= low
-        u = row[q]
-        if u < 0 or (present >> u) & 1:
-            out |= low
+    """The viable candidates after p, less those whose union with
+    pool[p] is absent."""
+    out = viable >> (p + 1) << (p + 1)
+    for u, qs in ctx.groups[p]:
+        if not present >> u & 1:
+            out &= ~qs
     return out
 
 
 def _walk_desc(
     ctx: _Search,
-    iso: bool,
     visit: CounterVisit | None,
-    pos0: int,
     present: int,
     viable: int,
     enc: int,
@@ -359,22 +351,18 @@ def _walk_desc(
         visit(chosen, counts)
     count = 1
     steps, high, cols = ctx.steps, ctx.high, ctx.cols
-    rem = viable & ~((1 << pos0) - 1)
+    rem = viable
     while rem:
         low = rem & -rem
         p = low.bit_length() - 1
         rem ^= low
-        enc2 = enc
-        if iso:
-            enc2 = enc + steps[p]
-            if enc2 & high != high:
-                continue
+        enc2 = enc + steps[p]
+        if enc2 & high != high:
+            continue
         chosen.append(p)
         count += _walk_desc(
             ctx,
-            iso,
             visit,
-            p + 1,
             present | low,
             _filter_viable(ctx, viable, p, present),
             enc2,
@@ -399,11 +387,10 @@ def enumerate_families(
     representative.
     """
     ensure_enumerable(c, unbounded)
-    ctx = _search_context(c.n, c.t, c.require_universe)
-    iso = c.up_to_iso
+    ctx = _search_context(c)
     if visit is None:
         sink = None
-    elif iso:
+    elif c.up_to_iso:
         sink = _canonical_emit(ctx, visit)
     else:
         pool = ctx.pool
@@ -412,12 +399,12 @@ def enumerate_families(
             visit(_family(ctx, [pool[p] for p in chosen]))
 
     viable = (1 << ctx.size) - 1
-    return _walk_desc(ctx, iso, sink, 0, 0, viable, ctx.high, [], ctx.base)
+    return _walk_desc(ctx, sink, 0, viable, ctx.high, [], ctx.base)
 
 
 def job_depth(c: EnumerationConstraints) -> int:
     """How many leading candidate decisions define one work unit."""
-    return max(0, min(10, _search_context(c.n, c.t, c.require_universe).size - 6))
+    return max(0, min(10, _search_context(c).size - 6))
 
 
 def subtree_jobs(c: EnumerationConstraints) -> list[int]:
@@ -441,9 +428,8 @@ def enumerate_job(
     no family is built (node_family builds one).
     """
     ensure_enumerable(c, unbounded)
-    ctx = _search_context(c.n, c.t, c.require_universe)
+    ctx = _search_context(c)
     depth = job_depth(c)
-    iso = c.up_to_iso
     enc = ctx.high
     counts = ctx.base
     chosen: list[int] = []
@@ -454,15 +440,15 @@ def enumerate_job(
             continue
         if not viable >> i & 1:
             return 0
-        if iso:
-            enc += ctx.steps[i]
-            if enc & ctx.high != ctx.high:
-                return 0
+        enc += ctx.steps[i]
+        if enc & ctx.high != ctx.high:
+            return 0
         viable = _filter_viable(ctx, viable, i, present)
         present |= 1 << i
         chosen.append(i)
         counts += ctx.cols[i]
-    return _walk_desc(ctx, iso, visit, depth, present, viable, enc, chosen, counts)
+    # the job decided every candidate below depth; those it left out stay out
+    return _walk_desc(ctx, visit, present, viable >> depth << depth, enc, chosen, counts)
 
 
 def brute_force_enumerate(c: EnumerationConstraints) -> list[SetFamily]:

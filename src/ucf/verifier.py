@@ -6,8 +6,8 @@ A campaign is split into the enumeration's independent subtree jobs.
 Jobs run serially or in a process pool; each returns its own exact
 aggregate and the merge is associative, so totals, statistics, and the
 (sorted) counterexample list are identical for any worker count.
-Completed jobs are appended to a checkpoint file as they finish, which
-makes campaigns resumable after interruption.
+Completed jobs are appended to a checkpoint file as their results come
+back, which makes campaigns resumable after interruption.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .enumeration import (
     subtree_jobs,
 )
 from .errors import (
+    InfeasibleScale,
     NoNonemptyMember,
     NotInScope,
     PreconditionViolation,
@@ -176,13 +177,11 @@ class _JobTally:
         # a 1 in each element's byte of the packed frequencies, and its top bit
         self.ones = int.from_bytes(b"\x01" * n, "little")
         self.high = self.ones << 7
-        self.visited = 0
         self.t_counts = [0] * (n + 1)
         self.shape_counts = [0] * len(SHAPE_TAGS)
         self.failures: list[dict] = []
 
     def visit(self, chosen: list[int], counts: int) -> None:
-        self.visited += 1
         m, freq, levels, t = split_counts(self.n, counts)
         self.t_counts[t] += 1
         if self.shape_mode and t == 3 and levels >> 48:  # byte 6: M_6 is a member
@@ -213,8 +212,9 @@ def _job_worker(payload: tuple) -> dict:
     c, checks, unbounded, job = payload
     tally = _JobTally(c, checks)
     count = enumerate_job(c, job, tally.visit, unbounded=unbounded)
-    if count != tally.visited:
-        raise AssertionError(f"visit stream ({tally.visited}) disagrees with count ({count})")
+    visited = sum(tally.t_counts)
+    if count != visited:
+        raise AssertionError(f"visit stream ({visited}) disagrees with count ({count})")
     return {
         "job": job,
         "count": count,
@@ -240,12 +240,44 @@ def _checkpoint_json(path: str, lineno: int, text: str):
         raise PreconditionViolation(f"checkpoint {path} line {lineno}: {exc}") from None
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _is_tally(value, keys) -> bool:
+    """Whether value maps some of keys to counts."""
+    return isinstance(value, dict) and set(value) <= set(keys) and all(map(_is_count, value.values()))
+
+
+def _record_problem(record, n: int, job_count: int) -> str | None:
+    """What makes a checkpoint's job record unusable, or None."""
+    if not isinstance(record, dict):
+        return "a job record must be an object"
+    job, count, by_t, by_shape, failures = map(record.get, ("job", "count", "by_t", "by_shape", "failures"))
+    if type(job) is not int or not 0 <= job < job_count:
+        return f"job {job!r} outside 0..{job_count - 1}"
+    if not _is_count(count):
+        return f"count {count!r} is not an int >= 0"
+    if not _is_tally(by_t, map(str, range(n + 1))):
+        return f"by_t {by_t!r} does not map 0..{n} to ints >= 0"
+    if sum(by_t.values()) != count:
+        return f"by_t sums to {sum(by_t.values())}, not to count {count}"
+    if not _is_tally(by_shape, SHAPE_TAGS):
+        return f"by_shape {by_shape!r} does not map shape tags to ints >= 0"
+    if not isinstance(failures, list) or not all(
+        isinstance(f, dict) and isinstance(f.get("check"), str) and isinstance(f.get("family"), str) for f in failures
+    ):
+        return "failures must be a list of objects with a string check and family"
+    return None
+
+
 def _load_checkpoint(path: str, header: dict, job_count: int) -> tuple[dict[int, dict], int]:
     """Completed job records from an earlier run of the same campaign,
     and the length of the file's prefix that holds whole lines.
 
     A run stopped in the middle of a write leaves an unterminated last
-    line; it is not read, and the job it belonged to runs again.
+    line; it is not read, and the job it belonged to runs again.  Any
+    other malformed line raises PreconditionViolation naming it.
     """
     if not os.path.exists(path):
         return {}, 0
@@ -267,9 +299,10 @@ def _load_checkpoint(path: str, header: dict, job_count: int) -> tuple[dict[int,
             seen_header = True
         elif line.startswith("# agg "):
             record = _checkpoint_json(path, lineno, line[len("# agg "):])
-            job = record.get("job") if isinstance(record, dict) else None
-            if not isinstance(job, int) or not 0 <= job < job_count:
-                raise PreconditionViolation(f"checkpoint {path} line {lineno}: job {job!r} outside 0..{job_count - 1}")
+            problem = _record_problem(record, header["n"], job_count)
+            if problem:
+                raise PreconditionViolation(f"checkpoint {path} line {lineno}: {problem}")
+            job = record["job"]
             if job in done:
                 raise PreconditionViolation(f"checkpoint {path} line {lineno}: job {job} recorded twice")
             done[job] = record
@@ -302,10 +335,14 @@ def run_campaign(
     """Run every selected check on every enumerated family.
 
     Totals are exact; the report body is independent of the worker
-    count.  With a checkpoint path, each subtree is recorded as it
-    finishes and skipped on the next run with the same path, so a run
-    that was interrupted (killed, torn mid-write, or stopped by an
-    exception in a job) resumes to the same report body.
+    count.  With a checkpoint path, each subtree is recorded when its
+    result comes back and skipped on the next run with the same path,
+    so a run that was interrupted (killed, torn mid-write, or stopped by
+    an exception in a job) resumes to the same report body.  A serial
+    run records each subtree as it finishes.  A pool run gets results
+    back one chunk at a time, (jobs left to run) // (workers * 8) jobs
+    per chunk, so a killed pool run redoes up to a chunk of finished
+    jobs.
     """
     checks = tuple(checks)
     for name in checks:
@@ -471,7 +508,10 @@ def check_single(family: SetFamily) -> CheckRecord:
         pass
     decomposition = None
     if t is not None:
-        decomposition = pair_decompose(closed.members_of_size(t), full_mask(closed.n))
+        try:
+            decomposition = pair_decompose(closed.members_of_size(t), full_mask(closed.n))
+        except InfeasibleScale as exc:
+            notes.append(f"no pair decomposition: {exc}")
     witness = None
     if t is not None:
         try:

@@ -225,6 +225,15 @@ class TestVerify:
             assert main(args) == 2
             assert "different campaign" in capsys.readouterr().err
 
+    def test_malformed_job_record_exits_two_naming_its_line(self, tmp_path, capsys):
+        ck = tmp_path / "run.ck"
+        args = ["verify", "--n", "4", "--t", "2", "--workers", "1", "--checkpoint", str(ck)]
+        header = OLD_N4T2_CHECKPOINT.splitlines(keepends=True)[0]
+        for record in ('{"job": 3}', '{"job": 3, "count": 1, "by_t": {}, "by_shape": {}, "failures": []}'):
+            ck.write_text(header + f"# agg {record}\n")
+            assert main(args) == 2
+            assert "line 2" in capsys.readouterr().err
+
 
 class TestParserPlumbing:
     def test_requires_subcommand(self, capsys):

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import max_matching_by_recursion
+from ucf.decomposition import MAX_EXACT_SLICE
 from ucf import (
+    InfeasibleScale,
     NotInScope,
     PairDecomposition,
     PreconditionViolation,
@@ -121,6 +123,18 @@ class TestPairDecompose:
     def test_empty_slice(self):
         d = pair_decompose([], M6)
         assert d.k == 0 and d.pairs == () and d.residue == ()
+
+    def test_full_n6_t3_slice_is_exact(self):
+        # the largest level over M_6: every 3-set pairs with its complement
+        masks = [m for m in range(M6 + 1) if m.bit_count() == 3]
+        assert len(masks) == MAX_EXACT_SLICE
+        d = pair_decompose(masks, M6)
+        assert d.k == 10 and d.residue == ()
+
+    def test_slice_above_the_cap_is_refused(self):
+        masks = [m for m in range(1 << 7) if m.bit_count() == 4][: MAX_EXACT_SLICE + 1]
+        with pytest.raises(InfeasibleScale):
+            pair_decompose(masks, full_mask(7))
 
     @settings(max_examples=60)
     @given(

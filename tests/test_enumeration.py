@@ -177,7 +177,7 @@ class TestEnumerateFamilies:
         if order == "asc":
             # handed the pool positions of a family the ascending walk of
             # tests/oracles.py visits, node_family builds that family back
-            pos = {mask: i for i, mask in enumerate(enumeration._search_context(n, t, c.require_universe).pool)}
+            pos = {mask: i for i, mask in enumerate(enumeration._search_context(c).pool)}
             for family in asc_families(c):
                 chosen = sorted(pos[m] for m in family.members if m in pos)
                 assert node_family(c, chosen) == family

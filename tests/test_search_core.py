@@ -167,7 +167,10 @@ class TestPackedOrbitTest:
     @given(st.integers(4, 6), st.sampled_from(["desc", "asc"]), st.data())
     def test_matches_plain_permutation_scan(self, n, order, data):
         # asc: the lanes of the ascending walk of tests/oracles.py
-        ctx = enumeration._search_context(n, 1, True) if order == "desc" else asc_search(n, 1, True)
+        if order == "desc":
+            ctx = enumeration._search_context(EnumerationConstraints(n, 1, True, True))
+        else:
+            ctx = asc_search(n, 1, True)
         chosen = sorted(data.draw(st.sets(st.integers(0, len(ctx.pool) - 1), max_size=10)))
         encode = (lambda mask: mask) if order == "desc" else (lambda mask: ctx.full ^ mask)
 
@@ -186,6 +189,15 @@ class TestPackedOrbitTest:
         image = [pos[relabel_mask(ctx.pool[p], best)] for p in chosen]
         assert packed(image)
         assert plain_canonical(n, [encode(ctx.pool[p]) for p in image])
+
+    def test_labelled_context_builds_no_lanes(self, monkeypatch):
+        def no_lanes(*args):
+            raise AssertionError("a labelled context built orbit lanes")
+
+        monkeypatch.setattr(enumeration, "_orbit_lanes", no_lanes)
+        ctx = enumeration._search_context.__wrapped__(EnumerationConstraints(5, 2))
+        assert ctx.high == 0
+        assert ctx.steps == (0,) * ctx.size
 
 
 def numpy_loaded(code: str) -> bool:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import os
 
@@ -264,9 +265,25 @@ class TestCheckpoint:
             ck.write_text(lines[0] + f"# agg {json.dumps(record)}\n")
             with pytest.raises(PreconditionViolation, match="outside"):
                 run_campaign(c, checkpoint=str(ck))
-        ck.write_text(lines[0] + "# agg {\n")
-        with pytest.raises(PreconditionViolation, match="line 2"):
-            run_campaign(c, checkpoint=str(ck))
+        good = json.loads(agg[len("# agg "):])
+        bad_records = [
+            [],
+            {"job": 3},
+            {**good, "count": -1},
+            {**good, "count": True},
+            {**good, "count": good["count"] + 1},  # by_t no longer sums to count
+            {**good, "by_t": {"5": good["count"]}},
+            {**good, "by_t": {"02": good["count"]}},
+            {**good, "by_shape": {"G4": 1}},
+            {**good, "by_shape": {"G3": "1"}},
+            {**good, "failures": {}},
+            {**good, "failures": [{"check": "frankl"}]},
+            {**good, "failures": [{"check": 1, "family": ""}]},
+        ]
+        for bad in [*map(json.dumps, bad_records), "{"]:
+            ck.write_text(lines[0] + f"# agg {bad}\n")
+            with pytest.raises(PreconditionViolation, match="line 2"):
+                run_campaign(c, checkpoint=str(ck))
 
     def test_count_lines_alone_do_not_mark_jobs_done(self, tmp_path):
         # legacy subtree=... count=... lines without their aggregate
@@ -323,6 +340,14 @@ class TestCheckSingle:
         assert record.decomposition is not None
         assert record.decomposition.k == 1
         assert record.decomposition.target == 63
+
+    def test_dense_slice_gets_a_note_instead_of_a_decomposition(self):
+        # {} plus every >=5-subset of {1..8}: a 56-mask T-slice
+        f = SetFamily.from_sets(8, [[]] + [s for r in range(5, 9) for s in itertools.combinations(range(1, 9), r)])
+        record = check_single(f)
+        assert record.t == 5 and record.verdict == "pass"
+        assert record.decomposition is None
+        assert any("no pair decomposition" in note for note in record.notes)
 
     def test_to_dict_uses_one_based_labels(self):
         f = SetFamily.from_sets(6, [[], [1, 2, 3], [4, 5, 6], [1, 2, 3, 4, 5, 6]])
