@@ -20,6 +20,8 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
+# frankl_holds and s_frankl_holds are not called here; they stay importable
+# from this module because bench/run.py times ucf.verifier globals by name
 from .core import (
     Mask,
     SetFamily,
@@ -275,28 +277,29 @@ def _load_checkpoint(path: str, header: dict, job_count: int) -> tuple[dict[int,
     """Completed job records from an earlier run of the same campaign,
     and the length of the file's prefix that holds whole lines.
 
-    A run stopped in the middle of a write leaves an unterminated last
-    line; it is not read, and the job it belonged to runs again.  Any
-    other malformed line raises PreconditionViolation naming it.
+    The first line is the campaign header; every later line is a `# agg`
+    job record or a legacy `subtree=` line, which is not read.  A run
+    stopped in the middle of a write leaves an unterminated last line;
+    it is not read, and the job it belonged to runs again.  Any other
+    line raises PreconditionViolation naming it.
     """
     if not os.path.exists(path):
         return {}, 0
     with open(path, "rb") as fh:
         data = fh.read()
     keep = data.rfind(b"\n") + 1
-    if not keep and not _header_line(header).encode().startswith(data):
+    # a whole first line must be a header; a torn one must begin this campaign's
+    if not (data.startswith(b"# campaign ") if keep else _header_line(header).encode().startswith(data)):
         raise PreconditionViolation(f"checkpoint {path} has no campaign header line")
     done: dict[int, dict] = {}
-    seen_header = False
     for lineno, raw in enumerate(data[:keep].splitlines(), start=1):
         line = raw.decode("utf-8", errors="replace")
-        if line.startswith("# campaign "):
+        if lineno == 1:
             stored = _checkpoint_json(path, lineno, line[len("# campaign "):])
             if stored != header:
                 raise PreconditionViolation(
                     f"checkpoint {path} belongs to a different campaign: {stored} != {header}"
                 )
-            seen_header = True
         elif line.startswith("# agg "):
             record = _checkpoint_json(path, lineno, line[len("# agg "):])
             problem = _record_problem(record, header["n"], job_count)
@@ -306,8 +309,10 @@ def _load_checkpoint(path: str, header: dict, job_count: int) -> tuple[dict[int,
             if job in done:
                 raise PreconditionViolation(f"checkpoint {path} line {lineno}: job {job} recorded twice")
             done[job] = record
-    if keep and not seen_header:
-        raise PreconditionViolation(f"checkpoint {path} has no campaign header line")
+        elif not line.startswith("subtree="):
+            raise PreconditionViolation(
+                f"checkpoint {path} line {lineno}: {line!r} is neither a job record nor a legacy subtree= line"
+            )
     return done, keep
 
 
@@ -335,19 +340,24 @@ def run_campaign(
     """Run every selected check on every enumerated family.
 
     Totals are exact; the report body is independent of the worker
-    count.  With a checkpoint path, each subtree is recorded when its
-    result comes back and skipped on the next run with the same path,
-    so a run that was interrupted (killed, torn mid-write, or stopped by
-    an exception in a job) resumes to the same report body.  A serial
-    run records each subtree as it finishes.  A pool run gets results
-    back one chunk at a time, (jobs left to run) // (workers * 8) jobs
-    per chunk, so a killed pool run redoes up to a chunk of finished
-    jobs.
+    count.  workers must be at least 1, and no more processes start
+    than there are jobs left to run.  With a checkpoint path, each
+    subtree is recorded when its result comes back and skipped on the
+    next run with the same path, so a run that was interrupted (killed,
+    torn mid-write, or stopped by an exception in a job) resumes to the
+    same report body.  A serial run records each subtree as it
+    finishes.  A pool of p processes gets results back one chunk at a
+    time, (jobs left to run) // (p * 8) jobs per chunk, so a killed
+    pool run redoes up to a chunk of finished jobs.
     """
     checks = tuple(checks)
-    for name in checks:
+    for i, name in enumerate(checks):
         if name not in CHECK_FNS:
             raise PreconditionViolation(f"unknown check {name!r}; available: {CHECK_NAMES}")
+        if name in checks[:i]:
+            raise PreconditionViolation(f"check {name!r} is listed twice")
+    if workers < 1:
+        raise PreconditionViolation(f"workers must be at least 1, got {workers}")
     ensure_enumerable(c, unbounded)
     start = time.perf_counter()
     jobs = subtree_jobs(c)
@@ -373,14 +383,15 @@ def run_campaign(
                 _dump_counterexample(counterexample_dir, failure)
 
     payloads = [(c, checks, unbounded, job) for job in jobs if job not in done]
+    processes = min(workers, len(payloads))
     try:
-        if workers <= 1 or len(payloads) <= 1:
+        if processes <= 1:
             for payload in payloads:
                 consume(_job_worker(payload))
         else:
             ctx = multiprocessing.get_context("fork")
-            chunk = max(1, len(payloads) // (workers * 8))
-            with ctx.Pool(workers) as pool:
+            chunk = max(1, len(payloads) // (processes * 8))
+            with ctx.Pool(processes) as pool:
                 for record in pool.imap_unordered(_job_worker, payloads, chunksize=chunk):
                     consume(record)
     finally:
@@ -476,58 +487,55 @@ class CheckRecord:
 
 def check_single(family: SetFamily) -> CheckRecord:
     """Full diagnostic on one family: closure delta, T, profiles,
-    conjecture verdicts, shape, T-slice pairing, and witness."""
+    conjecture verdicts, shape, T-slice pairing, and witness.
+
+    Everything refers to the union closure, profiled once.  The frankl
+    and s_frankl verdicts are the campaign's own CHECK_FNS predicates,
+    read off T(F) and the abundant count; s_frankl is None for T(F) = 1
+    and both are None when no member is nonempty.
+    """
     closed = union_closure(family)
-    was_closed = closed.members == family.members
     given = set(family.members)
     added = tuple(m for m in closed.members if m not in given)
     notes: list[str] = []
-    if not was_closed:
-        notes.append(
-            f"input is not union-closed; {len(added)} set(s) added, verdicts refer to the closure"
-        )
+    if added:
+        notes.append(f"input is not union-closed; {len(added)} set(s) added, verdicts refer to the closure")
     prof = frequency_profile(closed)
-    t: int | None
     frankl: bool | None = None
     s_frankl: bool | None = None
+    shape: str | None = None
+    decomposition = None
+    witness = None
+    verdict = "not-applicable"
+    t: int | None
     try:
         t = t_value(closed)
     except NoNonemptyMember:
         t = None
         notes.append("no nonempty member; the conjectures say nothing here")
     if t is not None:
-        frankl = frankl_holds(closed)
+        frankl = CHECK_FNS["frankl"](t, len(prof.abundant))
         if t >= 2:
-            s_frankl = s_frankl_holds(closed)
+            s_frankl = CHECK_FNS["s_frankl"](t, len(prof.abundant))
         else:
             notes.append("T(F)=1: the at-least-T form is not applicable, frankl verdict applies")
-    shape: str | None = None
-    try:
-        shape = classify_shape(closed)
-    except NotInScope:
-        pass
-    decomposition = None
-    if t is not None:
+        verdict = "fail" if frankl is False or s_frankl is False else "pass"
+        try:
+            shape = classify_shape(closed)
+        except NotInScope:
+            pass
         try:
             decomposition = pair_decompose(closed.members_of_size(t), full_mask(closed.n))
         except InfeasibleScale as exc:
             notes.append(f"no pair decomposition: {exc}")
-    witness = None
-    if t is not None:
         try:
             witness = abundance_witness(closed)
         except WitnessUnavailable as exc:
             notes.append(f"no abundance witness: {exc}")
-    if t is None:
-        verdict = "not-applicable"
-    elif frankl is False or s_frankl is False:
-        verdict = "fail"
-    else:
-        verdict = "pass"
     return CheckRecord(
         family=family,
         closed=closed,
-        was_union_closed=was_closed,
+        was_union_closed=not added,
         closure_added=added,
         t=t,
         levels=level_profile(closed),

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import ucf.verifier as verifier
-from test_verifier import OLD_N4T2_CHECKPOINT
+from test_verifier import OLD_N4T2_CHECKPOINT, always_fail
 from ucf.cli import main
 
 F1_TEXT = "n=6\n{}\n1,2,3\n1,2,3,4,5,6\n"
@@ -51,7 +51,7 @@ class TestCheck:
         assert "io error" in capsys.readouterr().err
 
     def test_failing_family_exits_one(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(verifier, "frankl_holds", lambda family: False)
+        monkeypatch.setitem(verifier.CHECK_FNS, "frankl", always_fail)
         status = main(["check", write(tmp_path, "f.family", "n=3\n{}\n1\n1,2\n")])
         assert status == 1
         assert "verdict: fail" in capsys.readouterr().out
@@ -156,6 +156,15 @@ class TestVerify:
     def test_bad_check_name(self, capsys):
         assert main(["verify", "--n", "3", "--t", "1", "--checks", "bogus"]) == 2
         assert "unknown check" in capsys.readouterr().err
+        assert main(["verify", "--n", "3", "--t", "1", "--checks", "frankl,frankl"]) == 2
+        assert "listed twice" in capsys.readouterr().err
+
+    def test_workers_below_one_exit_two(self, capsys, monkeypatch):
+        assert main(["verify", "--n", "3", "--t", "1", "--workers", "0"]) == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
+        monkeypatch.setenv("UCF_WORKERS", "0")
+        assert main(["verify", "--n", "3", "--t", "1"]) == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
 
     def test_out_of_envelope(self, capsys):
         assert main(["verify", "--n", "7", "--t", "3"]) == 2
@@ -180,9 +189,6 @@ class TestVerify:
         assert json.loads(open(report_path).read())["workers"] == 1
 
     def test_counterexamples_exit_one_and_dump(self, tmp_path, capsys, monkeypatch):
-        def always_fail(t, abundant):
-            return False
-
         monkeypatch.setitem(verifier.CHECK_FNS, "frankl", always_fail)
         monkeypatch.chdir(tmp_path)
         report_path = str(tmp_path / "report.json")
@@ -233,6 +239,9 @@ class TestVerify:
             ck.write_text(header + f"# agg {record}\n")
             assert main(args) == 2
             assert "line 2" in capsys.readouterr().err
+        ck.write_text(header + "garbage line\n" + header)
+        assert main(args) == 2
+        assert "line 2" in capsys.readouterr().err
 
 
 class TestParserPlumbing:

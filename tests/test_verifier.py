@@ -17,9 +17,11 @@ from ucf import (
     VerificationReport,
     brute_force_enumerate,
     check_single,
+    frankl_holds,
     frequency_profile,
     parse_family,
     run_campaign,
+    s_frankl_holds,
     union_closure,
 )
 from ucf.enumeration import subtree_jobs
@@ -76,6 +78,31 @@ class TestRunCampaign:
     def test_unknown_check_rejected(self):
         with pytest.raises(PreconditionViolation):
             run_campaign(N3T1, checks=("frankl", "nonsense"))
+        with pytest.raises(PreconditionViolation, match="listed twice"):
+            run_campaign(N3T1, checks=("frankl", "frankl"))
+
+    def test_workers_below_one_rejected(self):
+        for workers in (0, -3):
+            with pytest.raises(PreconditionViolation, match="workers"):
+                run_campaign(N3T1, workers=workers)
+
+    def test_pool_never_outnumbers_the_jobs_left(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class NoPool:
+            def Pool(self, processes):
+                sizes.append(processes)
+                raise RuntimeError("no pool is started here")
+
+        monkeypatch.setattr(verifier.multiprocessing, "get_context", lambda method: NoPool())
+        c = EnumerationConstraints(4, 2)
+        assert len(subtree_jobs(c)) == 16
+        ck = tmp_path / "run.ck"
+        ck.write_text(OLD_N4T2_CHECKPOINT)  # 3 of the 16 jobs done
+        for workers, checkpoint in ((64, None), (3, None), (64, str(ck))):
+            with pytest.raises(RuntimeError, match="no pool"):
+                run_campaign(c, workers=workers, checkpoint=checkpoint)
+        assert sizes == [16, 3, 13]
 
     def test_envelope_enforced(self):
         with pytest.raises(InfeasibleScale):
@@ -284,6 +311,19 @@ class TestCheckpoint:
             ck.write_text(lines[0] + f"# agg {bad}\n")
             with pytest.raises(PreconditionViolation, match="line 2"):
                 run_campaign(c, checkpoint=str(ck))
+        # after the header, only job records and legacy subtree= lines
+        stray = [
+            (lines[0] + "garbage line\n" + lines[0], "line 2"),
+            (lines[0] + agg + lines[0], "line 3"),
+            (lines[0] + "\n" + agg, "line 2"),
+            ("garbage line\n" + "".join(lines), "no campaign header"),
+            (agg + lines[0], "no campaign header"),
+        ]
+        for text, match in stray:
+            ck.write_text(text)
+            with pytest.raises(PreconditionViolation, match=match):
+                run_campaign(c, checkpoint=str(ck))
+            assert ck.read_text() == text
 
     def test_count_lines_alone_do_not_mark_jobs_done(self, tmp_path):
         # legacy subtree=... count=... lines without their aggregate
@@ -359,9 +399,30 @@ class TestCheckSingle:
 
     def test_failing_check_yields_fail_verdict(self, monkeypatch):
         # no real counterexample exists at these scales, so force one
-        monkeypatch.setattr(verifier, "frankl_holds", lambda family: False)
+        monkeypatch.setitem(verifier.CHECK_FNS, "frankl", always_fail)
         record = check_single(SetFamily.from_sets(3, [[1], [1, 2]]))
         assert record.verdict == "fail"
+
+    def test_verdicts_agree_with_the_core_statements(self):
+        closed = [f for c in (EnumerationConstraints(4, 1), EnumerationConstraints(5, 3)) for f in brute_force_enumerate(c)]
+        assert len(closed) == 2271 + 4945
+        open_ = [
+            SetFamily.from_sets(4, [[1, 2], [3, 4]]),
+            SetFamily.from_sets(5, [[], [1], [2, 3], [4, 5]]),
+            SetFamily.from_sets(6, [[1, 2, 3], [4, 5, 6], [1, 4]]),
+        ]
+        for family in closed + open_:
+            record = check_single(family)
+            target = union_closure(family)
+            assert record.frankl == frankl_holds(target)
+            if record.t == 1:
+                assert record.s_frankl is None
+            else:
+                assert record.s_frankl == s_frankl_holds(target)
+            assert record.verdict == ("pass" if record.frankl and record.s_frankl is not False else "fail")
+        record = check_single(SetFamily(4, (0,)))
+        assert record.frankl is None and record.s_frankl is None
+        assert record.verdict == "not-applicable"
 
 
 class TestReportConstruction:
