@@ -51,29 +51,36 @@ def _resolve_workers(args) -> int:
     return os.cpu_count() or 1
 
 
+def _print_lines(lines: list[str]) -> None:
+    # one write: a reader that stops at its first match (grep -q) may close the pipe after it
+    sys.stdout.write("".join(line + "\n" for line in lines))
+
+
 def cmd_check(args) -> int:
     record = check_single(_read_family(args.file))
     if args.json:
-        print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
+        lines = [json.dumps(record.to_dict(), indent=2, sort_keys=True)]
     else:
-        print(f"members: {record.family.m} (ground set 1..{record.family.n})")
         closed = "yes" if record.was_union_closed else f"no (+{len(record.closure_added)} sets to close)"
-        print(f"union-closed: {closed}")
-        print(f"T(F): {record.t if record.t is not None else 'undefined'}")
-        print("levels:", " ".join(f"{k}:{c}" for k, c in enumerate(record.levels) if c))
-        print("freq:", " ".join(f"{e}:{f}" for e, f in enumerate(record.freq, start=1)))
-        print("abundant:", ",".join(str(e) for e in record.abundant) or "-")
-        print(f"frankl: {record.frankl}  s_frankl: {record.s_frankl}  shape: {record.shape}")
+        lines = [
+            f"members: {record.family.m} (ground set 1..{record.family.n})",
+            f"union-closed: {closed}",
+            f"T(F): {record.t if record.t is not None else 'undefined'}",
+            "levels: " + " ".join(f"{k}:{c}" for k, c in enumerate(record.levels) if c),
+            "freq: " + " ".join(f"{e}:{f}" for e, f in enumerate(record.freq, start=1)),
+            "abundant: " + (",".join(str(e) for e in record.abundant) or "-"),
+            f"frankl: {record.frankl}  s_frankl: {record.s_frankl}  shape: {record.shape}",
+        ]
         if record.decomposition is not None:
             d = record.decomposition
-            print(f"T-slice pairing vs M_n: k={d.k}, residue {len(d.residue)} set(s)")
+            lines.append(f"T-slice pairing vs M_n: k={d.k}, residue {len(d.residue)} set(s)")
         if record.witness is not None:
             w = record.witness
             certs = " ".join(f"{e}:{f}/{w.m}" for e, f in zip(w.elements, w.counts))
-            print(f"witness: {certs}")
-        for note in record.notes:
-            print(f"note: {note}")
-        print(f"verdict: {record.verdict}")
+            lines.append(f"witness: {certs}")
+        lines += [f"note: {note}" for note in record.notes]
+        lines.append(f"verdict: {record.verdict}")
+    _print_lines(lines)
     return {"pass": 0, "fail": 1}.get(record.verdict, 2)
 
 
@@ -89,7 +96,7 @@ def cmd_closure(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    c = EnumerationConstraints(args.n, args.t, True, args.up_to_iso)
+    c = EnumerationConstraints(args.n, args.t, up_to_iso=args.up_to_iso)
     keys: list[bytes] = []
     count = enumerate_families(c, lambda f: keys.append(bytes(f.members)), unbounded=args.unbounded)
     print(f"count={count}")
@@ -98,7 +105,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    c = EnumerationConstraints(args.n, args.t, True, args.up_to_iso)
+    c = EnumerationConstraints(args.n, args.t, up_to_iso=args.up_to_iso)
     families = brute_force_enumerate(c)
     print(f"count={len(families)}")
     _write_listing([bytes(f.members) for f in families], args.out)
@@ -106,7 +113,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    c = EnumerationConstraints(args.n, args.t, True, args.up_to_iso)
+    c = EnumerationConstraints(args.n, args.t, up_to_iso=args.up_to_iso)
     checks = tuple(args.checks.split(",")) if args.checks else ("frankl", "s_frankl")
     ce_dir = args.report + ".counterexamples" if args.report else "counterexamples"
     report = run_campaign(
@@ -117,15 +124,16 @@ def cmd_verify(args) -> int:
         counterexample_dir=ce_dir,
         unbounded=args.unbounded,
     )
-    print(f"families_total: {report.families_total}")
-    print("by T:", "  ".join(f"{k}:{v}" for k, v in sorted(report.families_by_T.items())))
-    if report.families_by_shape is not None:
-        print("by shape:", "  ".join(f"{k}:{v}" for k, v in sorted(report.families_by_shape.items())))
-    print(f"counterexamples: {len(report.counterexamples)}")
-    print(f"wall_time: {report.wall_time:.2f}s  workers: {report.workers}  order: desc")
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
+    lines = [f"families_total: {report.families_total}"]
+    for name, tally in (("by T", report.families_by_T), ("by shape", report.families_by_shape)):
+        if tally is not None:
+            lines.append(f"{name}: " + "  ".join(f"{k}:{v}" for k, v in sorted(tally.items())))
+    lines.append(f"counterexamples: {len(report.counterexamples)}")
+    lines.append(f"wall_time: {report.wall_time:.2f}s  workers: {report.workers}  order: desc")
+    _print_lines(lines)
     return 1 if report.counterexamples else 0
 
 

@@ -1,9 +1,9 @@
 """Exhaustive and isomorph-free enumeration of union-closed families.
 
-Enumerated families live over {1..n}, always contain the empty set,
-have every nonempty member of cardinality >= t, and optionally must
-contain the full ground set (which equals requiring union(F) = M_n for
-a union-closed family).  Two independent routes exist:
+Enumerated families live over {1..n} with n <= 6, always contain the
+empty set and the full ground set M_n (for a union-closed family, the
+latter is union(F) = M_n), and have every nonempty member of
+cardinality >= t.  Two independent routes exist:
 
 * an orderly depth-first search over candidate masks that maintains
   union-closure incrementally and can restrict itself to one canonical
@@ -94,8 +94,13 @@ CounterVisit = Callable[[list[int], int], None]
 
 @dataclass(frozen=True)
 class EnumerationConstraints:
-    """What to enumerate: ground size, minimum nonempty member size,
-    whether M_n must be a member, and whether to collapse orbits."""
+    """What to enumerate: union-closed families over {1..n} that hold {}
+    and M_n, with nonempty members of size >= t, one per orbit if up_to_iso.
+
+    n > MAX_ENUM_GROUND raises InfeasibleScale.  require_universe must be
+    True; it stays a field because asdict() writes it into report bodies
+    and checkpoint headers, and callers pass up_to_iso after it by position.
+    """
 
     n: int
     t: int
@@ -107,18 +112,16 @@ class EnumerationConstraints:
             raise ValueError(f"n={self.n} outside {MIN_GROUND_SIZE}..{MAX_GROUND_SIZE}")
         if not 1 <= self.t <= self.n:
             raise ValueError(f"t={self.t} outside 1..{self.n}")
+        if self.require_universe is not True:
+            raise ValueError("require_universe must be True: every enumerated family holds M_n")
+        if self.n > MAX_ENUM_GROUND:
+            raise InfeasibleScale(f"exhaustive enumeration is supported for n <= {MAX_ENUM_GROUND}, got n={self.n}")
 
 
 def ensure_enumerable(constraints: EnumerationConstraints, unbounded: bool = False) -> None:
-    """Reject configurations outside the exhaustive envelope.
-
-    n >= 7 is out of scope unconditionally; n = 6 with t <= 2 is a
-    known census-scale blowup and needs the explicit acknowledgment.
-    """
-    n, t = constraints.n, constraints.t
-    if n > MAX_ENUM_GROUND:
-        raise InfeasibleScale(f"exhaustive enumeration is supported for n <= {MAX_ENUM_GROUND}, got n={n}")
-    if n == MAX_ENUM_GROUND and t <= 2 and not unbounded:
+    """Reject n = 6 with t <= 2, a known census-scale blowup, unless
+    unbounded acknowledges it."""
+    if constraints.n == MAX_ENUM_GROUND and constraints.t <= 2 and not unbounded:
         raise InfeasibleScale(
             "n=6 with t<=2 is census-scale; pass unbounded=True (--unbounded) to run anyway"
         )
@@ -234,7 +237,7 @@ class _Search:
     """Precomputed search tables for one EnumerationConstraints."""
 
     n: int
-    # members every node has: the empty set, and M_n when it is required
+    # members every node has: the empty set and M_n
     fixed: tuple[Mask, ...]
     pool: tuple[Mask, ...]
     # groups[p]: (u, qs) pairs, qs the later candidates whose union with
@@ -257,8 +260,8 @@ class _Search:
 def _search_context(c: EnumerationConstraints) -> _Search:
     n = c.n
     full = full_mask(n)
-    fixed = (0, full) if c.require_universe else (0,)
-    pool = tuple(m for m in range(full, 0, -1) if c.t <= m.bit_count() and m not in fixed)
+    fixed = (0, full)
+    pool = tuple(m for m in range(full - 1, 0, -1) if c.t <= m.bit_count())
     pos = {mask: i for i, mask in enumerate(pool)}
     groups = []
     for p, a in enumerate(pool):
@@ -454,17 +457,15 @@ def enumerate_job(
 def brute_force_enumerate(c: EnumerationConstraints) -> list[SetFamily]:
     """Oracle route: filter every subset of the candidate pool.
 
-    The pool is every mask of cardinality t..n (M_n included), capped
-    at 22 candidates (2^22 subsets) which covers all of n <= 4 plus the
-    constrained n=6 slices with t >= 4.  Intentionally shares no code
-    with the orderly search.
+    The pool is every mask of cardinality t..n-1 (M_n, which every
+    family holds, is not in it), capped at 22 candidates (2^22 subsets),
+    which covers all of n <= 4 plus the constrained n=6 slices with
+    t >= 4.  Intentionally shares no code with the orderly search.
     """
     import numpy as np
 
-    if c.n > MAX_ENUM_GROUND:
-        raise InfeasibleScale(f"oracle is supported for n <= {MAX_ENUM_GROUND}, got n={c.n}")
     full = full_mask(c.n)
-    pool = [m for m in range(1, full + 1) if c.t <= m.bit_count()]
+    pool = [m for m in range(1, full) if c.t <= m.bit_count()]
     size = len(pool)
     if size > BRUTE_FORCE_POOL_CAP:
         raise InfeasibleScale(
@@ -476,17 +477,13 @@ def brute_force_enumerate(c: EnumerationConstraints) -> list[SetFamily]:
     for i in range(size):
         for j in range(i + 1, size):
             u = pool[i] | pool[j]
-            if u == pool[i] or u == pool[j]:
+            if u == pool[i] or u == pool[j] or u == full:
                 continue
-            if c.require_universe and u == full:
-                continue  # implied by the universe filter below
             bad = (subs >> np.uint32(i)) & (subs >> np.uint32(j)) & ~(subs >> np.uint32(pos[u])) & np.uint32(1)
             ok &= bad == 0
-    if c.require_universe:
-        ok &= ((subs >> np.uint32(pos[full])) & np.uint32(1)) == 1
     families = []
     for s in np.nonzero(ok)[0].tolist():
-        masks = [0] + [pool[i] for i in range(size) if s >> i & 1]
+        masks = [0, full] + [pool[i] for i in range(size) if s >> i & 1]
         families.append(SetFamily.from_masks(c.n, masks))
     if c.up_to_iso:
         families = sorted({canonical_form(f) for f in families}, key=lambda f: f.members)

@@ -20,8 +20,8 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-# frankl_holds and s_frankl_holds are not called here; they stay importable
-# from this module because bench/run.py times ucf.verifier globals by name
+# frankl_holds, s_frankl_holds and lemma_1_2_bound are not called here; they stay
+# importable from this module because bench/run.py times ucf.verifier globals by name
 from .core import (
     Mask,
     SetFamily,
@@ -63,35 +63,26 @@ from .fileformat import format_family
 
 
 def _failure_record(check: str, family: SetFamily) -> dict:
-    """The counterexample record of a family that failed check."""
+    """The counterexample record of an enumerated family that failed check."""
     prof = frequency_profile(family)
-    try:
-        t = t_value(family)
-    except NoNonemptyMember:
-        t = 0
-    record = {
+    return {
         "check": check,
         "family": format_family(family),
-        "t": t,
+        "t": t_value(family),
         "m": prof.m,
         "freq": list(prof.freq),
         "abundant": sorted(prof.abundant),
     }
-    if check == "lemma_1_2_spot":
-        coatoms = family.members_of_size(family.n - 1)
-        if len(coatoms) >= 2:
-            record["min_freq"] = lemma_1_2_bound(full_mask(family.n), SetFamily(family.n, coatoms)).min_freq
-    return record
 
 
-# Each check reads two counters of one enumerated family, T(F) (0 when
-# no member is nonempty) and its number of abundant elements, and says
-# whether the family passes; a statement that says nothing passes.
+# Each check reads two counters of one family with a nonempty member,
+# T(F) >= 1 and its number of abundant elements, and says whether the
+# family passes; a statement that says nothing passes.
 
 
 def _frankl_ok(t: int, abundant: int) -> bool:
-    """frankl_holds, which needs a nonempty member."""
-    return abundant > 0 or not t
+    """frankl_holds: some element is abundant."""
+    return abundant > 0
 
 
 def _s_frankl_ok(t: int, abundant: int) -> bool:
@@ -186,7 +177,7 @@ class _JobTally:
     def visit(self, chosen: list[int], counts: int) -> None:
         m, freq, levels, t = split_counts(self.n, counts)
         self.t_counts[t] += 1
-        if self.shape_mode and t == 3 and levels >> 48:  # byte 6: M_6 is a member
+        if self.shape_mode and t == 3:
             self.shape_counts[2 * (levels >> 32 & 0xFF > 0) + (levels >> 40 & 0xFF > 0)] += 1
         fails = self.failing[t][self.abundant(m, freq)]
         if fails:
@@ -425,7 +416,7 @@ def run_campaign(
     )
     if sum(by_t.values()) != families_total:
         raise AssertionError("families_by_T does not sum to families_total")
-    if shape_mode and c.require_universe and sum(by_shape.values()) != by_t.get(3, 0):
+    if shape_mode and sum(by_shape.values()) != by_t.get(3, 0):
         raise AssertionError("families_by_shape does not sum to the T=3 total")
     return report
 

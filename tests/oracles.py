@@ -92,7 +92,7 @@ def count_containing(family: SetFamily, element: int) -> int:
 
 @dataclass(frozen=True)
 class AscSearch:
-    """Tables of the ascending walk for one (n, t, universe) setting."""
+    """Tables of the ascending walk for one (n, t) setting."""
 
     full: int
     members: tuple[int, ...]  # what every family has besides the chosen masks
@@ -107,10 +107,9 @@ class AscSearch:
 
 
 @lru_cache(maxsize=None)
-def asc_search(n: int, t: int, universe: bool) -> AscSearch:
+def asc_search(n: int, t: int) -> AscSearch:
     full = (1 << n) - 1
-    top = n - 1 if universe else n
-    pool = tuple(m for m in range(1, full + 1) if t <= m.bit_count() <= top)
+    pool = tuple(m for m in range(1, full) if t <= m.bit_count())
     pos = {mask: i for i, mask in enumerate(pool)}
     unions = tuple(
         tuple(-1 if a | b in (a, b) else pos.get(a | b, -1) for b in range(full + 1))
@@ -119,7 +118,7 @@ def asc_search(n: int, t: int, universe: bool) -> AscSearch:
     # encode complemented members, so the kept orbit representative is
     # canonical_form's
     steps, high = _orbit_lanes(n, [full ^ m for m in pool])
-    members = (0, full) if universe else (0,)
+    members = (0, full)
     return AscSearch(
         full=full,
         members=members,
@@ -145,7 +144,7 @@ def asc_walk(c: EnumerationConstraints, visit: Callable[[tuple[int, ...], int], 
     maximum of sum(2^complement(member)); dropping the largest member
     keeps that, so canonical families have canonical prefixes.
     """
-    s = asc_search(c.n, c.t, c.require_universe)
+    s = asc_search(c.n, c.t)
     pool, unions, steps, high, cols = s.pool, s.unions, s.steps, s.high, s.cols
     iso = c.up_to_iso
     chosen: list[int] = []

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import shlex
+import subprocess
+import sys
 
 import pytest
 
+import ucf
 import ucf.verifier as verifier
 from test_verifier import OLD_N4T2_CHECKPOINT, always_fail
 from ucf.cli import main
@@ -168,7 +173,7 @@ class TestVerify:
 
     def test_out_of_envelope(self, capsys):
         assert main(["verify", "--n", "7", "--t", "3"]) == 2
-        capsys.readouterr()
+        assert capsys.readouterr().err == "error: exhaustive enumeration is supported for n <= 6, got n=7\n"
 
     def test_workers_env_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("UCF_WORKERS", "2")
@@ -242,6 +247,25 @@ class TestVerify:
         ck.write_text(header + "garbage line\n" + header)
         assert main(args) == 2
         assert "line 2" in capsys.readouterr().err
+
+
+def test_summaries_survive_a_reader_that_stops_early(tmp_path):
+    # grep -q exits at its first match; under pipefail a later write to
+    # the closed pipe would fail the pipeline with exit 2
+    family = shlex.quote(write(tmp_path, "open.family", "n=4\n{}\n1,2\n3,4\n"))
+    ucf_cmd = f"{shlex.quote(sys.executable)} -m ucf.cli"
+    env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=os.path.dirname(os.path.dirname(ucf.__file__)))
+    for pipeline in (
+        f"{ucf_cmd} check --json {family} | grep -q '\"verdict\": \"pass\"'",
+        f"{ucf_cmd} check {family} | grep -q union-closed",
+        f"{ucf_cmd} verify --n 3 --t 2 --workers 1 | grep -q families_total",
+    ):
+        for _ in range(5):
+            out = subprocess.run(
+                ["bash", "-o", "pipefail", "-c", pipeline],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert out.returncode == 0, (pipeline, out.stderr)
 
 
 class TestParserPlumbing:

@@ -64,11 +64,14 @@ class TestConstraints:
         with pytest.raises(ValueError):
             EnumerationConstraints(4, 5)
 
+    def test_admits_only_enumerable_configurations(self):
+        # every enumerated family holds M_n, and n >= 7 is out of scope
+        with pytest.raises(ValueError):
+            EnumerationConstraints(4, 2, False)
+        with pytest.raises(InfeasibleScale):
+            EnumerationConstraints(7, 3)
+
     def test_envelope(self):
-        with pytest.raises(InfeasibleScale):
-            ensure_enumerable(EnumerationConstraints(7, 3))
-        with pytest.raises(InfeasibleScale):
-            ensure_enumerable(EnumerationConstraints(7, 3), unbounded=True)
         with pytest.raises(InfeasibleScale):
             ensure_enumerable(EnumerationConstraints(6, 2))
         ensure_enumerable(EnumerationConstraints(6, 2), unbounded=True)
@@ -144,13 +147,6 @@ class TestEnumerateFamilies:
             assert family.members[-1] == full_mask(4)
             assert is_union_closed(family)
             assert t_value(family) >= 2
-
-    def test_no_universe_variant(self):
-        c = EnumerationConstraints(3, 1, require_universe=False)
-        families = collect(c)
-        assert any(full_mask(3) not in f.members for f in families)
-        # {0} alone qualifies once the universe is optional
-        assert SetFamily(3, (0,)) in families
 
     def test_orders_agree_on_visit_sets(self):
         c = EnumerationConstraints(4, 2)
@@ -258,10 +254,9 @@ class TestBruteForceOracle:
         assert all(0 in f.members and 3 in f.members for f in families)
 
     @pytest.mark.parametrize("n,t", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
-    @pytest.mark.parametrize("universe", [True, False])
     @pytest.mark.parametrize("iso", [False, True])
-    def test_agrees_with_orderly_search(self, n, t, universe, iso):
-        c = EnumerationConstraints(n, t, universe, iso)
+    def test_agrees_with_orderly_search(self, n, t, iso):
+        c = EnumerationConstraints(n, t, up_to_iso=iso)
         oracle = brute_force_enumerate(c)
         search = collect(c)
         assert Counter(f.members for f in oracle) == Counter(f.members for f in search)

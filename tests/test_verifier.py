@@ -182,17 +182,6 @@ class TestCounterexamplePlumbing:
         families = sorted(verifier.format_family(f) for f in brute_force_enumerate(c))
         assert [r["family"] for r in report.counterexamples] == families
 
-    def test_lemma_failures_record_min_freq(self, monkeypatch):
-        monkeypatch.setitem(verifier.CHECK_FNS, "lemma_1_2_spot", always_fail)
-        every = run_campaign(N3T1, checks=("lemma_1_2_spot",))
-        assert len(every.counterexamples) == every.families_total == 45
-        for record in every.counterexamples:
-            coatoms = parse_family(record["family"]).members_of_size(2)
-            if len(coatoms) >= 2:
-                assert record["min_freq"] == len(coatoms) - 1
-            else:
-                assert "min_freq" not in record
-
     def test_real_run_finds_nothing(self, tmp_path):
         ce_dir = tmp_path / "ces"
         report = run_campaign(
