@@ -132,12 +132,15 @@ class TestCounters:
 
     @pytest.mark.parametrize("order", ["desc", "asc"])
     @pytest.mark.parametrize("iso", [False, True])
-    def test_every_node_of_small_walks(self, order, iso):
+    # the one value EnumerationConstraints admits, kept as an axis so the
+    # case ids read as before require_universe=False was retired
+    @pytest.mark.parametrize("universe", [True])
+    def test_every_node_of_small_walks(self, order, iso, universe):
         # the search keeps its own orbit representatives, and node_family
         # relabels them to the public canonical ones the ascending walk keeps
         relabeled = iso and order == "desc"
         for n, t in ((3, 1), (4, 1), (4, 2)):
-            c = EnumerationConstraints(n, t, up_to_iso=iso)
+            c = EnumerationConstraints(n, t, universe, iso)
             for members, counters in walk_counters(c, order).items():
                 assert_counters_match(SetFamily(n, members), counters, relabeled)
 
