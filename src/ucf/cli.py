@@ -8,10 +8,10 @@ counterexamples found, 2 = parse, scope, or feasibility errors.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
+from typing import Iterable
 
 from .core import union_closure
 from .enumeration import MAX_ENUM_GROUND, EnumerationConstraints, brute_force_enumerate, enumerate_families
@@ -30,16 +30,30 @@ _MASK_NAMES = [str(m) for m in range(1 << MAX_ENUM_GROUND)]
 _LINES_PER_WRITE = 1 << 14
 
 
+def _write(out: str | None, chunks: Iterable[str]) -> None:
+    """Write chunks to the file out, or to stdout without one.  A reader
+    of stdout that stops early (head, grep -q) is not an error: stdout
+    then points at devnull, and the command keeps its own exit status."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        return
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _write_listing(keys: list[bytes], out: str | None) -> None:
-    """Write one line per family, in sorted order, from bytes(members)
-    keys: masks are below 256, so bytes order is member-tuple order.
-    Lines are rendered and written a chunk at a time."""
+    """Print count=, then write one line per family, in sorted order,
+    from bytes(members) keys: masks are below 256, so bytes order is
+    member-tuple order.  Lines are rendered and written a chunk at a time."""
     keys.sort()
     names = _MASK_NAMES
-    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
-        for i in range(0, len(keys), _LINES_PER_WRITE):
-            chunk = keys[i : i + _LINES_PER_WRITE]
-            fh.write("".join([",".join([names[m] for m in key]) + "\n" for key in chunk]))
+    _write(None, [f"count={len(keys)}\n"])
+    chunks = (keys[i : i + _LINES_PER_WRITE] for i in range(0, len(keys), _LINES_PER_WRITE))
+    _write(out, ("".join([",".join([names[m] for m in key]) + "\n" for key in chunk]) for chunk in chunks))
 
 
 def _resolve_workers(args) -> int:
@@ -49,11 +63,6 @@ def _resolve_workers(args) -> int:
     if env:
         return int(env)
     return os.cpu_count() or 1
-
-
-def _print_lines(lines: list[str]) -> None:
-    # one write: a reader that stops at its first match (grep -q) may close the pipe after it
-    sys.stdout.write("".join(line + "\n" for line in lines))
 
 
 def cmd_check(args) -> int:
@@ -80,35 +89,26 @@ def cmd_check(args) -> int:
             lines.append(f"witness: {certs}")
         lines += [f"note: {note}" for note in record.notes]
         lines.append(f"verdict: {record.verdict}")
-    _print_lines(lines)
+    _write(None, [line + "\n" for line in lines])
     return {"pass": 0, "fail": 1}.get(record.verdict, 2)
 
 
 def cmd_closure(args) -> int:
-    closed = union_closure(_read_family(args.file))
-    text = format_family(closed)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, [format_family(union_closure(_read_family(args.file)))])
     return 0
 
 
 def cmd_enumerate(args) -> int:
     c = EnumerationConstraints(args.n, args.t, up_to_iso=args.up_to_iso)
     keys: list[bytes] = []
-    count = enumerate_families(c, lambda f: keys.append(bytes(f.members)), unbounded=args.unbounded)
-    print(f"count={count}")
+    enumerate_families(c, lambda f: keys.append(bytes(f.members)), unbounded=args.unbounded)
     _write_listing(keys, args.out)
     return 0
 
 
 def cmd_oracle(args) -> int:
     c = EnumerationConstraints(args.n, args.t, up_to_iso=args.up_to_iso)
-    families = brute_force_enumerate(c)
-    print(f"count={len(families)}")
-    _write_listing([bytes(f.members) for f in families], args.out)
+    _write_listing([bytes(f.members) for f in brute_force_enumerate(c)], args.out)
     return 0
 
 
@@ -125,15 +125,14 @@ def cmd_verify(args) -> int:
         unbounded=args.unbounded,
     )
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+        _write(args.report, [report.to_json()])
     lines = [f"families_total: {report.families_total}"]
     for name, tally in (("by T", report.families_by_T), ("by shape", report.families_by_shape)):
         if tally is not None:
             lines.append(f"{name}: " + "  ".join(f"{k}:{v}" for k, v in sorted(tally.items())))
     lines.append(f"counterexamples: {len(report.counterexamples)}")
     lines.append(f"wall_time: {report.wall_time:.2f}s  workers: {report.workers}  order: desc")
-    _print_lines(lines)
+    _write(None, [line + "\n" for line in lines])
     return 1 if report.counterexamples else 0
 
 

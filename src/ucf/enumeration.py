@@ -44,7 +44,9 @@ Next to the chosen candidates the walk carries one int of counters
 that do not change under relabeling, one byte per lane: per-element
 frequencies, per-size member counts (T(F) is the smallest nonempty
 size) and the member count m.  Accepting a member adds its precomputed
-column.  ``enumerate_families`` builds a SetFamily for every node;
+column.  ``split_counts`` reads them back together with T(F) and the
+number of abundant elements, the two values every check needs.
+``enumerate_families`` builds a SetFamily for every node;
 ``enumerate_job`` hands the visit the counters instead, so a campaign
 checks every family without building it.
 
@@ -215,21 +217,32 @@ def _member_counts(mask: Mask, n: int) -> int:
     return int.from_bytes(bytes(lanes), "little")
 
 
-def split_counts(n: int, counts: int) -> tuple[int, int, int, int]:
-    """(m, freq, levels, t) from the packed counters of a family over M_n.
+# the top bit of each of the n frequency bytes, per n
+_HIGH = tuple(int.from_bytes(b"\x80" * n, "little") for n in range(MAX_ENUM_GROUND + 1))
+
+
+def split_counts(n: int, counts: int) -> tuple[int, int, int, int, int]:
+    """(m, freq, levels, t, a) from the packed counters of a family over M_n.
 
     counts holds one byte per lane: byte e-1 counts the members holding
     element e, byte n+k the members of size k, and the bytes from 2n+1
     on hold the member count m.  freq and levels keep their lanes (byte
-    e-1, byte k), and t is T(F), the smallest k >= 1 with a member of
-    size k, or 0 without a nonempty member.  A family over M_n has at
-    most 2^n <= 64 members for enumerable n, so no lane overflows.
+    e-1, byte k), t is T(F), the smallest k >= 1 with a member of size
+    k, or 0 without a nonempty member, and a counts the abundant
+    elements, those in at least half of the m members.  A family over
+    M_n has at most 2^n <= 64 members for enumerable n, so no lane
+    overflows.
     """
     lane = 8 * n
+    m = counts >> (2 * lane + 8)
     freq = counts & ((1 << lane) - 1)
     levels = counts >> lane & ((1 << (lane + 8)) - 1)
     above = levels >> 8
-    return counts >> (2 * lane + 8), freq, levels, ((above & -above).bit_length() + 7) >> 3
+    high = _HIGH[n]
+    # byte e-1 becomes 0x80 + 2*freq(e) - m, which keeps its top bit iff
+    # element e is abundant; m <= 64 keeps every byte in 0x40..0xC0
+    a = (((freq << 1) + high - m * (high >> 7)) & high).bit_count()
+    return m, freq, levels, ((above & -above).bit_length() + 7) >> 3, a
 
 
 @dataclass
@@ -415,22 +428,17 @@ def subtree_jobs(c: EnumerationConstraints) -> list[int]:
     return list(range(1 << job_depth(c)))
 
 
-def enumerate_job(
-    c: EnumerationConstraints,
-    job: int,
-    visit: CounterVisit | None = None,
-    *,
-    unbounded: bool = False,
-) -> int:
+def enumerate_job(c: EnumerationConstraints, job: int, visit: CounterVisit | None = None) -> int:
     """Enumerate one subtree; summing over subtree_jobs equals the full count.
 
     Replays the job's fixed decisions with the same closure and
     canonicity tests the full search applies, so invalid assignments
     cost nothing and no family is visited by two different jobs.  The
     visit gets each family's chosen positions and packed counters, and
-    no family is built (node_family builds one).
+    no family is built (node_family builds one).  The census-scale guard
+    is the caller's: run_campaign applies ensure_enumerable once, before
+    its first job.
     """
-    ensure_enumerable(c, unbounded)
     ctx = _search_context(c)
     depth = job_depth(c)
     enc = ctx.high

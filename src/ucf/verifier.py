@@ -149,71 +149,46 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-class _JobTally:
-    """Per-job totals, read off the walk's counters family by family.
+def _failing(n: int, checks: Sequence[str]) -> list[list[tuple[str, ...]]]:
+    """failing[t][a]: the checks a family with T = t and a abundant elements fails."""
+    return [[tuple(name for name in checks if not CHECK_FNS[name](t, a)) for a in range(n + 1)] for t in range(n + 1)]
+
+
+def _job_worker(payload: tuple) -> dict:
+    """One job's record, read off the walk's counters family by family.
 
     The checks are pure functions of (T, abundant count), so their
     verdicts are tabulated once per job.  A SetFamily is built only for
     a family that fails a check, and it is the same canonical
     representative enumerate_families visits.
     """
+    c, checks, job = payload
+    n = c.n
+    failing = _failing(n, checks)
+    shape_mode = n == 6 and c.t == 3
+    t_counts = [0] * (n + 1)
+    shape_counts = [0] * len(SHAPE_TAGS)
+    failures: list[dict] = []
 
-    def __init__(self, c: EnumerationConstraints, checks: Sequence[str]):
-        n = self.n = c.n
-        self.c = c
-        self.shape_mode = n == 6 and c.t == 3
-        # failing[t][a]: the checks a family with T = t and a abundant elements fails
-        self.failing = [
-            [tuple(name for name in checks if not CHECK_FNS[name](t, a)) for a in range(n + 1)]
-            for t in range(n + 1)
-        ]
-        # a 1 in each element's byte of the packed frequencies, and its top bit
-        self.ones = int.from_bytes(b"\x01" * n, "little")
-        self.high = self.ones << 7
-        self.t_counts = [0] * (n + 1)
-        self.shape_counts = [0] * len(SHAPE_TAGS)
-        self.failures: list[dict] = []
-
-    def visit(self, chosen: list[int], counts: int) -> None:
-        m, freq, levels, t = split_counts(self.n, counts)
-        self.t_counts[t] += 1
-        if self.shape_mode and t == 3:
-            self.shape_counts[2 * (levels >> 32 & 0xFF > 0) + (levels >> 40 & 0xFF > 0)] += 1
-        fails = self.failing[t][self.abundant(m, freq)]
+    def visit(chosen: list[int], counts: int) -> None:
+        m, freq, levels, t, a = split_counts(n, counts)
+        t_counts[t] += 1
+        if shape_mode and t == 3:
+            shape_counts[2 * (levels >> 32 & 0xFF > 0) + (levels >> 40 & 0xFF > 0)] += 1
+        fails = failing[t][a]
         if fails:
-            self._record(fails, chosen)
+            family = node_family(c, chosen)
+            failures.extend(_failure_record(name, family) for name in fails)
 
-    def abundant(self, m: int, freq: int) -> int:
-        """How many elements lie in at least half of the m members."""
-        # byte e-1 becomes 0x80 + 2*freq(e) - m, which keeps its top bit
-        # iff element e is abundant; n <= 6 keeps every byte in 0x40..0xC0
-        return (((freq << 1) + self.high - m * self.ones) & self.high).bit_count()
-
-    def _record(self, fails: tuple[str, ...], chosen: list[int]) -> None:
-        family = node_family(self.c, chosen)
-        for name in fails:
-            self.failures.append(_failure_record(name, family))
-
-    def by_t(self) -> dict[int, int]:
-        return {t: k for t, k in enumerate(self.t_counts) if k}
-
-    def by_shape(self) -> dict[str, int]:
-        return {tag: k for tag, k in zip(SHAPE_TAGS, self.shape_counts) if k}
-
-
-def _job_worker(payload: tuple) -> dict:
-    c, checks, unbounded, job = payload
-    tally = _JobTally(c, checks)
-    count = enumerate_job(c, job, tally.visit, unbounded=unbounded)
-    visited = sum(tally.t_counts)
-    if count != visited:
-        raise AssertionError(f"visit stream ({visited}) disagrees with count ({count})")
+    count = enumerate_job(c, job, visit)
+    if count != sum(t_counts):
+        raise AssertionError(f"visit stream ({sum(t_counts)}) disagrees with count ({count})")
     return {
         "job": job,
         "count": count,
-        "by_t": tally.by_t(),
-        "by_shape": tally.by_shape(),
-        "failures": tally.failures,
+        "by_t": {t: k for t, k in enumerate(t_counts) if k},
+        "by_shape": {tag: k for tag, k in zip(SHAPE_TAGS, shape_counts) if k},
+        "failures": failures,
     }
 
 
@@ -373,7 +348,7 @@ def run_campaign(
             for failure in record["failures"]:
                 _dump_counterexample(counterexample_dir, failure)
 
-    payloads = [(c, checks, unbounded, job) for job in jobs if job not in done]
+    payloads = [(c, checks, job) for job in jobs if job not in done]
     processes = min(workers, len(payloads))
     try:
         if processes <= 1:

@@ -250,8 +250,8 @@ class TestVerify:
 
 
 def test_summaries_survive_a_reader_that_stops_early(tmp_path):
-    # grep -q exits at its first match; under pipefail a later write to
-    # the closed pipe would fail the pipeline with exit 2
+    # grep -q and head exit early; under pipefail a later write to the
+    # closed pipe must not fail the pipeline with exit 2
     family = shlex.quote(write(tmp_path, "open.family", "n=4\n{}\n1,2\n3,4\n"))
     ucf_cmd = f"{shlex.quote(sys.executable)} -m ucf.cli"
     env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=os.path.dirname(os.path.dirname(ucf.__file__)))
@@ -259,6 +259,9 @@ def test_summaries_survive_a_reader_that_stops_early(tmp_path):
         f"{ucf_cmd} check --json {family} | grep -q '\"verdict\": \"pass\"'",
         f"{ucf_cmd} check {family} | grep -q union-closed",
         f"{ucf_cmd} verify --n 3 --t 2 --workers 1 | grep -q families_total",
+        f"{ucf_cmd} enumerate --n 5 --t 3 | head -1",
+        f"{ucf_cmd} oracle --n 4 --t 2 | head -1",
+        f"{ucf_cmd} closure {family} | head -1",
     ):
         for _ in range(5):
             out = subprocess.run(

@@ -69,7 +69,7 @@ class TestRunCampaign:
     def test_shape_statistics_accumulate_per_job(self):
         # one subtree of the n=6, t=3 campaign exercises the shape
         # tally; the full campaign is covered by the acceptance suite
-        payload = (EnumerationConstraints(6, 3, up_to_iso=True), ("frankl", "s_frankl"), False, 0)
+        payload = (EnumerationConstraints(6, 3, up_to_iso=True), ("frankl", "s_frankl"), 0)
         record = verifier._job_worker(payload)
         assert record["count"] > 0
         assert set(record["by_shape"]) <= set(SHAPE_TAGS)
@@ -104,9 +104,14 @@ class TestRunCampaign:
                 run_campaign(c, workers=workers, checkpoint=checkpoint)
         assert sizes == [16, 3, 13]
 
-    def test_envelope_enforced(self):
+    def test_envelope_enforced(self, monkeypatch):
+        # the census-scale guard runs before any job: enumerate_job has none
+        def no_job(*args, **kwargs):
+            raise AssertionError("a job ran before the census-scale guard")
+
+        monkeypatch.setattr(verifier, "enumerate_job", no_job)
         with pytest.raises(InfeasibleScale):
-            run_campaign(EnumerationConstraints(7, 3))
+            run_campaign(EnumerationConstraints(6, 2))
 
     def test_lemma_check_runs_clean(self):
         report = run_campaign(N3T1, checks=("frankl", "s_frankl", "lemma_1_2_spot"))
