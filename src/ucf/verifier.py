@@ -6,17 +6,17 @@ A campaign is split into the enumeration's independent subtree jobs.
 Jobs run serially or in a process pool; each returns its own exact
 aggregate and the merge is associative, so totals, statistics, and the
 (sorted) counterexample list are identical for any worker count.
-Completed jobs are appended to a checkpoint file as their results come
-back, which makes campaigns resumable after interruption.
+Completed jobs are appended to a checkpoint file, in job order, as their
+results come back, which makes campaigns resumable after interruption.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import time
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -311,10 +311,10 @@ def run_campaign(
     subtree is recorded when its result comes back and skipped on the
     next run with the same path, so a run that was interrupted (killed,
     torn mid-write, or stopped by an exception in a job) resumes to the
-    same report body.  A serial run records each subtree as it
-    finishes.  A pool of p processes gets results back one chunk at a
-    time, (jobs left to run) // (p * 8) jobs per chunk, so a killed
-    pool run redoes up to a chunk of finished jobs.
+    same report body.  Records come back in job order, one by one from
+    a serial run and (jobs left) // (p * 8) at a time from a pool of p
+    processes; a dead pool worker ends the run with BrokenProcessPool.
+    A job's counterexample dumps go out before its checkpoint record.
     """
     checks = tuple(checks)
     for i, name in enumerate(checks):
@@ -330,39 +330,38 @@ def run_campaign(
     header = _checkpoint_header(c, checks)
     done, keep = _load_checkpoint(checkpoint, header, len(jobs)) if checkpoint else ({}, 0)
 
-    ck_fh = None
-    if checkpoint:
-        ck_fh = open(checkpoint, "a", encoding="utf-8")
-        ck_fh.truncate(keep)  # drop a torn last line
-        if not keep:
-            ck_fh.write(_header_line(header))
-            ck_fh.flush()
-
-    def consume(record: dict) -> None:
-        done[record["job"]] = record
-        if ck_fh is not None:
-            # one line per job, so an interruption tears at most the last line
-            ck_fh.write(f"# agg {json.dumps(record, sort_keys=True)}\n")
-            ck_fh.flush()
-        if counterexample_dir:
-            for failure in record["failures"]:
-                _dump_counterexample(counterexample_dir, failure)
-
     payloads = [(c, checks, job) for job in jobs if job not in done]
     processes = min(workers, len(payloads))
-    try:
+    with ExitStack() as stack:
+        if checkpoint:
+            ck_fh = stack.enter_context(open(checkpoint, "a", encoding="utf-8"))
+            ck_fh.truncate(keep)  # drop a torn last line
+            if not keep:
+                ck_fh.write(_header_line(header))
+                ck_fh.flush()
         if processes <= 1:
-            for payload in payloads:
-                consume(_job_worker(payload))
+            records = map(_job_worker, payloads)
         else:
-            ctx = multiprocessing.get_context("fork")
-            chunk = max(1, len(payloads) // (processes * 8))
-            with ctx.Pool(processes) as pool:
-                for record in pool.imap_unordered(_job_worker, payloads, chunksize=chunk):
-                    consume(record)
-    finally:
-        if ck_fh is not None:
-            ck_fh.close()
+            # imported only for a pool: they add about a quarter to the import time of ucf.cli
+            import ctypes
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            # Linux's prctl(PR_SET_PDEATHSIG, SIGKILL): a worker dies with the campaign, not waits forever
+            prctl = getattr(ctypes.CDLL(None), "prctl", None)
+            pool = ProcessPoolExecutor(processes, multiprocessing.get_context("fork"), initializer=prctl, initargs=(1, 9))
+            stack.callback(pool.shutdown, cancel_futures=True)
+            records = pool.map(_job_worker, payloads, chunksize=max(1, len(payloads) // (processes * 8)))
+        for record in records:
+            # dumps first: a job whose record is written has all its findings on disk
+            if counterexample_dir:
+                for failure in record["failures"]:
+                    _dump_counterexample(counterexample_dir, failure)
+            if checkpoint:
+                # one line per job, so an interruption tears at most the last line
+                ck_fh.write(f"# agg {json.dumps(record, sort_keys=True)}\n")
+                ck_fh.flush()
+            done[record["job"]] = record
 
     families_total = 0
     by_t: dict[int, int] = {}

@@ -14,9 +14,9 @@ def interrupt_at_job():
     finished before it stay in the checkpoint.  The context asserts
     that the campaign run inside it raised.
 
-    The job raises an Exception rather than KeyboardInterrupt: a
-    BaseException kills a pool worker, its task is lost and the pool
-    waits for it forever.
+    A pool worker sends any exception of its job back to the parent,
+    a BaseException such as KeyboardInterrupt too, so the run raises it
+    at 1 and at 2 workers alike.
     """
 
     @contextlib.contextmanager

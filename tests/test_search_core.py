@@ -196,10 +196,10 @@ class TestPackedOrbitTest:
         assert ctx.steps == (0,) * ctx.size
 
 
-def numpy_loaded(code: str) -> bool:
-    """Whether numpy is imported after running code in a fresh interpreter."""
+def module_loaded(module: str, code: str) -> bool:
+    """Whether module is imported after running code in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(ucf.__file__))
-    code += "\nprint('numpy' in sys.modules)\n"
+    code += f"\nprint({module!r} in sys.modules)\n"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
@@ -207,7 +207,8 @@ def numpy_loaded(code: str) -> bool:
 
 
 def test_campaigns_run_without_numpy():
-    assert not numpy_loaded(
+    assert not module_loaded(
+        "numpy",
         "import sys, ucf, ucf.cli\n"
         "from ucf import EnumerationConstraints, run_campaign\n"
         "report = run_campaign(EnumerationConstraints(5, 3, up_to_iso=True))\n"
@@ -217,17 +218,31 @@ def test_campaigns_run_without_numpy():
 
 def test_context_and_labelled_listing_run_without_numpy():
     # the search context behind the benchmark's setup time
-    assert not numpy_loaded(
+    assert not module_loaded(
+        "numpy",
         "import sys, ucf.cli\n"
         "from ucf.enumeration import EnumerationConstraints, job_depth\n"
         "assert job_depth(EnumerationConstraints(6, 3, up_to_iso=True)) == 10"
     )
-    assert not numpy_loaded(
+    assert not module_loaded(
+        "numpy",
         "import os, sys, ucf.cli\n"
         "assert ucf.cli.main(['enumerate', '--n', '5', '--t', '3', '--out', os.devnull]) == 0"
     )
     # the canonical relabel of an up-to-iso listing does load it
-    assert numpy_loaded(
+    assert module_loaded(
+        "numpy",
         "import os, sys, ucf.cli\n"
         "assert ucf.cli.main(['enumerate', '--n', '5', '--t', '3', '--up-to-iso', '--out', os.devnull]) == 0"
     )
+
+
+def test_context_builds_without_the_pool_modules():
+    # only a campaign with a pool imports them; they would weigh on setup time
+    for module in ("multiprocessing", "concurrent.futures"):
+        assert not module_loaded(
+            module,
+            "import sys, ucf.cli\n"
+            "from ucf.enumeration import EnumerationConstraints, job_depth\n"
+            "assert job_depth(EnumerationConstraints(6, 3, up_to_iso=True)) == 10",
+        )

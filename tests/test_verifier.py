@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -90,11 +95,11 @@ class TestRunCampaign:
         sizes = []
 
         class NoPool:
-            def Pool(self, processes):
-                sizes.append(processes)
+            def __init__(self, max_workers, mp_context=None, **kwargs):
+                sizes.append(max_workers)
                 raise RuntimeError("no pool is started here")
 
-        monkeypatch.setattr(verifier.multiprocessing, "get_context", lambda method: NoPool())
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
         c = EnumerationConstraints(4, 2)
         assert len(subtree_jobs(c)) == 16
         ck = tmp_path / "run.ck"
@@ -180,6 +185,23 @@ class TestCounterexamplePlumbing:
         assert prof.m == record["m"]
         assert sorted(prof.abundant) == record["abundant"]
 
+    def test_dumps_go_out_before_their_job_record(self, tmp_path, monkeypatch):
+        # a run stopped between a job's dumps and its record redoes the job
+        monkeypatch.setitem(verifier.CHECK_FNS, "frankl", always_fail)
+        ck, ce_dir = str(tmp_path / "run.ck"), tmp_path / "ces"
+        dump = verifier._dump_counterexample
+
+        def out_of_disk(directory, failure):
+            monkeypatch.setattr(verifier, "_dump_counterexample", dump)
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(verifier, "_dump_counterexample", out_of_disk)
+        with pytest.raises(OSError, match="no space"):
+            run_campaign(N3T1, checks=("frankl",), checkpoint=ck, counterexample_dir=str(ce_dir))
+        report = run_campaign(N3T1, checks=("frankl",), checkpoint=ck, counterexample_dir=str(ce_dir))
+        assert len(report.counterexamples) == report.families_total == 45
+        assert len(list(ce_dir.glob("ce-*.family"))) == 45
+
     def test_forced_failures_name_the_canonical_families(self, monkeypatch):
         monkeypatch.setitem(verifier.CHECK_FNS, "frankl", always_fail)
         c = EnumerationConstraints(4, 2, up_to_iso=True)
@@ -222,6 +244,82 @@ class TestCheckpoint:
         assert failed not in jobs
         resumed = run_campaign(c, workers=2, checkpoint=ck)
         assert resumed.body_bytes() == run_campaign(c).body_bytes()
+
+    def test_dead_pool_worker_fails_the_run(self, tmp_path):
+        # a worker killed at job 5 (SIGKILL, or the OOM killer) must end the
+        # run, not hang it; run apart, so a hang fails on the timeout
+        code = """
+import os, signal, sys
+from concurrent.futures.process import BrokenProcessPool
+import ucf.verifier as verifier
+from ucf import EnumerationConstraints, run_campaign
+
+c, ck = EnumerationConstraints(4, 1), sys.argv[1]
+enumerate_job = verifier.enumerate_job
+
+def job(c, j, *args, **kwargs):
+    if j == 5:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return enumerate_job(c, j, *args, **kwargs)
+
+verifier.enumerate_job = job
+try:
+    run_campaign(c, workers=2, checkpoint=ck)
+    sys.exit("the run survived a dead worker")
+except BrokenProcessPool:
+    pass
+verifier.enumerate_job = enumerate_job
+assert run_campaign(c, workers=2, checkpoint=ck).body_bytes() == run_campaign(c).body_bytes()
+"""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(verifier.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "run.ck")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_pool_workers_die_with_the_campaign(self, tmp_path):
+        # a campaign killed by SIGKILL or SIGTERM leaves no worker waiting for work
+        code = """
+import os, sys, time
+import ucf.verifier as verifier
+from ucf import EnumerationConstraints, run_campaign
+
+def job(c, j, *args, **kwargs):
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    time.sleep(60)
+
+verifier.enumerate_job = job
+run_campaign(EnumerationConstraints(4, 1), workers=2)
+"""
+
+        def running(pid: str) -> bool:
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(verifier.__file__)))
+        campaign = subprocess.Popen([sys.executable, "-c", code, str(tmp_path)], env=env)
+        workers = []
+        try:
+            deadline = time.monotonic() + 30
+            while len(workers) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                workers = os.listdir(tmp_path)
+            assert len(workers) == 2
+            campaign.kill()
+            campaign.wait()
+            deadline = time.monotonic() + 10
+            while any(map(running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(running, workers))
+        finally:
+            campaign.kill()
+            for pid in filter(running, workers):
+                os.kill(int(pid), signal.SIGKILL)
 
     def test_finished_checkpoint_makes_rerun_instant(self, tmp_path):
         c = EnumerationConstraints(4, 2)
