@@ -91,26 +91,27 @@ def classify_shape(family: SetFamily) -> str:
     return SHAPE_TAGS[2 * (levels[4] > 0) + (levels[5] > 0)]
 
 
-def _matching_size(remaining: int, nbr: list[int], memo: dict[int, int]) -> int:
-    """Maximum matching size on the vertex subset given as a bitmask."""
+def _matching_size(remaining: int, nbr: list[int], memo: dict[int, tuple[int, int]]) -> tuple[int, int]:
+    """(size, partner) of a maximum matching on the vertex subset given as a
+    bitmask: partner is the smallest partner of its lowest vertex that keeps
+    the size maximum (a match wins a tie), or -1 when none does."""
     if remaining == 0:
-        return 0
+        return 0, -1
     cached = memo.get(remaining)
     if cached is not None:
         return cached
     low = remaining & -remaining
-    v = low.bit_length() - 1
     rest = remaining ^ low
-    best = _matching_size(rest, nbr, memo)  # leave v unmatched
-    cand = nbr[v] & rest
+    best, partner = _matching_size(rest, nbr, memo)[0], -1  # leave the vertex unmatched
+    cand = nbr[low.bit_length() - 1] & rest
     while cand:
         wl = cand & -cand
         cand ^= wl
-        got = 1 + _matching_size(rest ^ wl, nbr, memo)
-        if got > best:
-            best = got
-    memo[remaining] = best
-    return best
+        got = 1 + _matching_size(rest ^ wl, nbr, memo)[0]
+        if got > best or (got == best and partner < 0):
+            best, partner = got, wl.bit_length() - 1
+    memo[remaining] = best, partner
+    return best, partner
 
 
 def pair_decompose(slice_masks: Sequence[Mask], target: Mask) -> PairDecomposition:
@@ -141,30 +142,20 @@ def pair_decompose(slice_masks: Sequence[Mask], target: Mask) -> PairDecompositi
             if masks[i] | masks[j] == target:
                 nbr[i] |= 1 << j
                 nbr[j] |= 1 << i
-    memo: dict[int, int] = {}
+    memo: dict[int, tuple[int, int]] = {}
     pairs: list[tuple[Mask, Mask]] = []
     residue: list[Mask] = []
     remaining = (1 << size) - 1
     while remaining:
         low = remaining & -remaining
         v = low.bit_length() - 1
-        rest = remaining ^ low
-        k_here = _matching_size(remaining, nbr, memo)
-        partner = -1
-        cand = nbr[v] & rest
-        while cand:
-            wl = cand & -cand
-            w = wl.bit_length() - 1
-            cand ^= wl
-            if 1 + _matching_size(rest ^ wl, nbr, memo) == k_here:
-                partner = w
-                break  # ascending scan: smallest workable partner
+        partner = _matching_size(remaining, nbr, memo)[1]
         if partner < 0:
             residue.append(masks[v])
-            remaining = rest
+            remaining ^= low
         else:
             pairs.append((masks[v], masks[partner]))
-            remaining = rest ^ (1 << partner)
+            remaining ^= low | 1 << partner
     return PairDecomposition(tuple(pairs), tuple(residue), len(pairs), target)
 
 

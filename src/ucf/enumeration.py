@@ -165,14 +165,6 @@ def _comp_powers(n: int):
     return np.uint64(1) << images[full_mask(n) ^ np.arange(1 << n)]
 
 
-def _relabel(n: int, masks: Sequence[Mask], enc) -> list[Mask]:
-    """masks relabeled by a permutation whose encoding in enc (one
-    _comp_powers lane per permutation) is largest."""
-    perm = int(enc.argmax())
-    images = _images(n)
-    return [images[m][perm] for m in masks]
-
-
 def canonical_form(family: SetFamily) -> SetFamily:
     """The family relabeled to the representative of its orbit with the
     lexicographically least member tuple; two families share it iff
@@ -184,12 +176,12 @@ def canonical_form(family: SetFamily) -> SetFamily:
     n = family.n
     if n > MAX_CANONICAL_GROUND:
         raise InfeasibleScale(f"canonical keys need an S_n scan; supported for n <= {MAX_CANONICAL_GROUND}")
-    if not family.members:
-        return family
     import numpy as np
 
-    enc = np.bitwise_or.reduce(_comp_powers(n)[list(family.members)], axis=0)
-    return SetFamily(n, tuple(sorted(_relabel(n, family.members, enc))))
+    # the permutation whose encoding is largest; no member leaves every lane 0
+    perm = int(np.bitwise_or.reduce(_comp_powers(n)[list(family.members)], axis=0).argmax())
+    images = _images(n)
+    return SetFamily(n, tuple(sorted(images[m][perm] for m in family.members)))
 
 
 def _orbit_lanes(n: int, encoded: Sequence[Mask]) -> tuple[tuple[int, ...], int]:
@@ -322,22 +314,23 @@ def _canonical_emit(ctx: _Search, visit: Visit) -> CounterVisit:
 
     The walk visits in preorder, so when a node of depth d is visited,
     lanes[d - 1] still holds its parent's complement encodings; the
-    node's are those OR the row of its last chosen member.
+    node's are those OR the row of its last chosen member.  lanes[0] is
+    never written: the root's lanes are all 0, so it keeps the identity.
     """
     import numpy as np
 
     n, pool = ctx.n, ctx.pool
-    powers = _comp_powers(n)
+    powers, images = _comp_powers(n), _images(n)
     rows = [powers[m] for m in pool]
+    image_rows = [images[m] for m in pool]
     lanes = [np.zeros(powers.shape[1], dtype=np.uint64) for _ in range(ctx.size + 1)]
 
     def emit(chosen: list[int], counts: int) -> None:
-        masks = [pool[p] for p in chosen]
         d = len(chosen)
         if d:
             np.bitwise_or(lanes[d - 1], rows[chosen[-1]], out=lanes[d])
-            masks = _relabel(n, masks, lanes[d])
-        visit(_family(ctx, masks))
+        perm = int(lanes[d].argmax())
+        visit(_family(ctx, [image_rows[p][perm] for p in chosen]))
 
     return emit
 

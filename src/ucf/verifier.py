@@ -54,12 +54,12 @@ from .enumeration import (
 )
 from .errors import (
     InfeasibleScale,
-    NoNonemptyMember,
     NotInScope,
+    ParseError,
     PreconditionViolation,
     WitnessUnavailable,
 )
-from .fileformat import format_family
+from .fileformat import format_family, parse_family
 
 
 def _failure_record(check: str, family: SetFamily) -> dict:
@@ -157,14 +157,13 @@ def _failing(n: int, checks: Sequence[str]) -> list[list[tuple[str, ...]]]:
 def _job_worker(payload: tuple) -> dict:
     """One job's record, read off the walk's counters family by family.
 
-    The checks are pure functions of (T, abundant count), so their
-    verdicts are tabulated once per job.  A SetFamily is built only for
-    a family that fails a check, and it is the same canonical
-    representative enumerate_families visits.
+    The checks are pure functions of (T, abundant count), so run_campaign
+    tabulates their verdicts once, as _failing, and sends the table.  A
+    SetFamily is built only for a family that fails a check, and it is
+    the same canonical representative enumerate_families visits.
     """
-    c, checks, job = payload
+    c, failing, job = payload
     n = c.n
-    failing = _failing(n, checks)
     shape_mode = n == 6 and c.t == 3
     t_counts = [0] * (n + 1)
     shape_counts = [0] * len(SHAPE_TAGS)
@@ -217,8 +216,17 @@ def _is_tally(value, keys) -> bool:
     return isinstance(value, dict) and set(value) <= set(keys) and all(map(_is_count, value.values()))
 
 
-def _record_problem(record, n: int, job_count: int) -> str | None:
-    """What makes a checkpoint's job record unusable, or None."""
+def _is_failure(value, header: dict) -> bool:
+    if not (isinstance(value, dict) and value.get("check") in header["checks"] and isinstance(value.get("family"), str)):
+        return False
+    try:
+        return parse_family(value["family"]).n == header["n"]
+    except ParseError:
+        return False
+
+
+def _record_problem(record, header: dict, job_count: int) -> str | None:
+    """What makes a job record unusable in the campaign of header, or None."""
     if not isinstance(record, dict):
         return "a job record must be an object"
     job, count, by_t, by_shape, failures = map(record.get, ("job", "count", "by_t", "by_shape", "failures"))
@@ -226,16 +234,16 @@ def _record_problem(record, n: int, job_count: int) -> str | None:
         return f"job {job!r} outside 0..{job_count - 1}"
     if not _is_count(count):
         return f"count {count!r} is not an int >= 0"
-    if not _is_tally(by_t, map(str, range(n + 1))):
-        return f"by_t {by_t!r} does not map 0..{n} to ints >= 0"
+    if not _is_tally(by_t, map(str, range(header["n"] + 1))):
+        return f"by_t {by_t!r} does not map 0..{header['n']} to ints >= 0"
     if sum(by_t.values()) != count:
         return f"by_t sums to {sum(by_t.values())}, not to count {count}"
     if not _is_tally(by_shape, SHAPE_TAGS):
         return f"by_shape {by_shape!r} does not map shape tags to ints >= 0"
-    if not isinstance(failures, list) or not all(
-        isinstance(f, dict) and isinstance(f.get("check"), str) and isinstance(f.get("family"), str) for f in failures
-    ):
-        return "failures must be a list of objects with a string check and family"
+    if sum(by_shape.values()) != (by_t.get("3", 0) if (header["n"], header["t"]) == (6, 3) else 0):
+        return f"by_shape {by_shape!r} must split the T=3 count of an n=6 t=3 campaign, and be empty in any other"
+    if not isinstance(failures, list) or not all(_is_failure(f, header) for f in failures):
+        return f"failures must be a list of objects with a check in {header['checks']} and a family over 1..{header['n']}"
     return None
 
 
@@ -268,7 +276,7 @@ def _load_checkpoint(path: str, header: dict, job_count: int) -> tuple[dict[int,
                 )
         elif line.startswith("# agg "):
             record = _checkpoint_json(path, lineno, line[len("# agg "):])
-            problem = _record_problem(record, header["n"], job_count)
+            problem = _record_problem(record, header, job_count)
             if problem:
                 raise PreconditionViolation(f"checkpoint {path} line {lineno}: {problem}")
             job = record["job"]
@@ -322,6 +330,7 @@ def run_campaign(
             raise PreconditionViolation(f"unknown check {name!r}; available: {CHECK_NAMES}")
         if name in checks[:i]:
             raise PreconditionViolation(f"check {name!r} is listed twice")
+    failing = _failing(c.n, checks)
     if workers < 1:
         raise PreconditionViolation(f"workers must be at least 1, got {workers}")
     ensure_enumerable(c, unbounded)
@@ -330,7 +339,7 @@ def run_campaign(
     header = _checkpoint_header(c, checks)
     done, keep = _load_checkpoint(checkpoint, header, len(jobs)) if checkpoint else ({}, 0)
 
-    payloads = [(c, checks, job) for job in jobs if job not in done]
+    payloads = [(c, failing, job) for job in jobs if job not in done]
     processes = min(workers, len(payloads))
     with ExitStack() as stack:
         if checkpoint:
@@ -465,6 +474,7 @@ def check_single(family: SetFamily) -> CheckRecord:
     notes: list[str] = []
     if added:
         notes.append(f"input is not union-closed; {len(added)} set(s) added, verdicts refer to the closure")
+    levels = level_profile(closed)
     prof = frequency_profile(closed)
     frankl: bool | None = None
     s_frankl: bool | None = None
@@ -472,13 +482,11 @@ def check_single(family: SetFamily) -> CheckRecord:
     decomposition = None
     witness = None
     verdict = "not-applicable"
-    t: int | None
-    try:
-        t = t_value(closed)
-    except NoNonemptyMember:
-        t = None
+    # T(F): the lowest nonempty level, as in split_counts
+    t = next((k for k in range(1, closed.n + 1) if levels[k]), None)
+    if t is None:
         notes.append("no nonempty member; the conjectures say nothing here")
-    if t is not None:
+    else:
         frankl = CHECK_FNS["frankl"](t, len(prof.abundant))
         if t >= 2:
             s_frankl = CHECK_FNS["s_frankl"](t, len(prof.abundant))
@@ -503,7 +511,7 @@ def check_single(family: SetFamily) -> CheckRecord:
         was_union_closed=not added,
         closure_added=added,
         t=t,
-        levels=level_profile(closed),
+        levels=levels,
         freq=prof.freq,
         m=prof.m,
         abundant=tuple(sorted(prof.abundant)),

@@ -86,6 +86,44 @@ def max_matching_by_recursion(masks: list[int], target: int) -> int:
     return rec(tuple(range(len(masks))))
 
 
+def lex_least_max_matching(masks: list[int], target: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """(pairs, residue) of the lex-least maximum matching of at most 8
+    masks into pairs with union target, by listing every matching.
+
+    Reading the vertices by index, each lowest vertex not yet read adds
+    its partner's index to the key, or len(masks), which sorts after
+    every index, when it is unmatched; its partner is then read too.
+    Among the largest matchings the one with the least key wins.
+    """
+    size = len(masks)
+    assert size <= 8, "the oracle lists every matching"
+    edges = [(i, j) for i, j in itertools.combinations(range(size), 2) if masks[i] | masks[j] == target]
+    matchings: list[dict[int, int]] = []
+
+    def extend(start: int, partner: dict[int, int]) -> None:
+        matchings.append(partner)
+        for k in range(start, len(edges)):
+            i, j = edges[k]
+            if i not in partner and j not in partner:
+                extend(k + 1, {**partner, i: j, j: i})
+
+    def key(partner: dict[int, int]) -> list[int]:
+        out: list[int] = []
+        read: set[int] = set()
+        for v in range(size):
+            if v not in read:
+                out.append(partner.get(v, size))
+                read |= {v, partner.get(v, v)}
+        return out
+
+    extend(0, {})
+    largest = max(map(len, matchings))
+    best = min((m for m in matchings if len(m) == largest), key=key)
+    pairs = tuple((masks[v], masks[w]) for v, w in sorted(best.items()) if v < w)
+    residue = tuple(masks[v] for v in range(size) if v not in best)
+    return pairs, residue
+
+
 def count_containing(family: SetFamily, element: int) -> int:
     return sum(1 for s in as_sets(family) if element in s)
 

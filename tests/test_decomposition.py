@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import max_matching_by_recursion
+from oracles import lex_least_max_matching, max_matching_by_recursion
 from ucf.decomposition import MAX_EXACT_SLICE
 from ucf import (
     InfeasibleScale,
@@ -148,6 +148,16 @@ class TestPairDecompose:
         assert sorted(flat) == sorted(masks)  # a partition of the slice
         assert all(a | b == M6 for a, b in d.pairs)
         assert d.k == max_matching_by_recursion(masks, M6)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_pairing_is_the_lex_least_maximum_matching(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=6))
+        target = data.draw(st.integers(min_value=0, max_value=full_mask(n)))
+        subsets = [m for m in range(target + 1) if m | target == target]
+        masks = data.draw(st.lists(st.sampled_from(subsets), max_size=8, unique=True))
+        d = pair_decompose(masks, target)
+        assert (d.pairs, d.residue) == lex_least_max_matching(masks, target)
 
 
 class TestPairDecompositionType:

@@ -74,7 +74,7 @@ class TestRunCampaign:
     def test_shape_statistics_accumulate_per_job(self):
         # one subtree of the n=6, t=3 campaign exercises the shape
         # tally; the full campaign is covered by the acceptance suite
-        payload = (EnumerationConstraints(6, 3, up_to_iso=True), ("frankl", "s_frankl"), 0)
+        payload = (EnumerationConstraints(6, 3, up_to_iso=True), verifier._failing(6, ("frankl", "s_frankl")), 0)
         record = verifier._job_worker(payload)
         assert record["count"] > 0
         assert set(record["by_shape"]) <= set(SHAPE_TAGS)
@@ -158,14 +158,16 @@ class TestReportShape:
 class TestCounterexamplePlumbing:
     def test_failures_are_recorded_sorted_and_dumped(self, tmp_path, monkeypatch):
         monkeypatch.setitem(verifier.CHECK_FNS, "frankl", always_fail)
-        ce_dir = tmp_path / "ces"
-        report = run_campaign(N3T1, checks=("frankl",), counterexample_dir=str(ce_dir))
-        assert len(report.counterexamples) == report.families_total
-        keys = [(r["check"], r["family"]) for r in report.counterexamples]
-        assert keys == sorted(keys)
-        dumps = list(ce_dir.iterdir())
-        assert len(dumps) == report.families_total
-        assert all(p.name.startswith("ce-") and p.suffix == ".family" for p in dumps)
+        # N3T1 has one job and runs serially; 16 jobs at 2 workers start a pool
+        for i, (c, workers) in enumerate(((N3T1, 1), (EnumerationConstraints(4, 2), 2))):
+            ce_dir = tmp_path / f"ces{i}"
+            report = run_campaign(c, checks=("frankl",), workers=workers, counterexample_dir=str(ce_dir))
+            assert len(report.counterexamples) == report.families_total
+            keys = [(r["check"], r["family"]) for r in report.counterexamples]
+            assert keys == sorted(keys)
+            dumps = list(ce_dir.iterdir())
+            assert len(dumps) == report.families_total
+            assert all(p.name.startswith("ce-") and p.suffix == ".family" for p in dumps)
 
     def test_dump_replays_to_the_recorded_profile(self, tmp_path, monkeypatch):
         monkeypatch.setitem(verifier.CHECK_FNS, "frankl", always_fail)
@@ -369,7 +371,7 @@ run_campaign(EnumerationConstraints(4, 1), workers=2)
             run_campaign(EnumerationConstraints(4, 2), checkpoint=str(ck))
         assert ck.read_text() == "not a checkpoint"
 
-    def test_bad_job_records_rejected(self, tmp_path):
+    def test_bad_job_records_rejected(self, tmp_path, monkeypatch):
         c = EnumerationConstraints(4, 2)
         ck = tmp_path / "run.ck"
         run_campaign(c, checkpoint=str(ck))
@@ -395,9 +397,16 @@ run_campaign(EnumerationConstraints(4, 1), workers=2)
             {**good, "by_t": {"02": good["count"]}},
             {**good, "by_shape": {"G4": 1}},
             {**good, "by_shape": {"G3": "1"}},
+            {**good, "by_shape": {"G3": 1}},  # shapes are tallied only at n=6 t=3
             {**good, "failures": {}},
             {**good, "failures": [{"check": "frankl"}]},
             {**good, "failures": [{"check": 1, "family": ""}]},
+            # a failure must name one of the campaign's checks and a family over {1..4}
+            {**good, "failures": [{"check": "bogus", "family": "not a family"}]},
+            {**good, "failures": [{"check": "bogus", "family": "n=4\n{}\n1,2,3,4\n"}]},
+            {**good, "failures": [{"check": "lemma_1_2_spot", "family": "n=4\n{}\n1,2,3,4\n"}]},
+            {**good, "failures": [{"check": "frankl", "family": "not a family"}]},
+            {**good, "failures": [{"check": "frankl", "family": "n=5\n{}\n1,2,3,4,5\n"}]},
         ]
         for bad in [*map(json.dumps, bad_records), "{"]:
             ck.write_text(lines[0] + f"# agg {bad}\n")
@@ -416,6 +425,18 @@ run_campaign(EnumerationConstraints(4, 1), workers=2)
             with pytest.raises(PreconditionViolation, match=match):
                 run_campaign(c, checkpoint=str(ck))
             assert ck.read_text() == text
+        # at n=6 t=3 the shape counts must split the T=3 count, checked before any job runs
+        def no_job(*args, **kwargs):
+            raise AssertionError("a job ran before the checkpoint was validated")
+
+        monkeypatch.setattr(verifier, "enumerate_job", no_job)
+        c, checks = EnumerationConstraints(6, 3, up_to_iso=True), ("frankl", "s_frankl")
+        header = verifier._header_line(verifier._checkpoint_header(c, checks))
+        for by_t, by_shape in (({}, {"G3": 1}), ({"3": 2}, {"G3": 1}), ({"3": 1, "4": 1}, {"G3": 2})):
+            bad = {"job": 1, "count": sum(by_t.values()), "by_t": by_t, "by_shape": by_shape, "failures": []}
+            ck.write_text(header + f"# agg {json.dumps(bad)}\n")
+            with pytest.raises(PreconditionViolation, match="line 2: by_shape"):
+                run_campaign(c, checks, checkpoint=str(ck))
 
     def test_count_lines_alone_do_not_mark_jobs_done(self, tmp_path):
         # legacy subtree=... count=... lines without their aggregate
