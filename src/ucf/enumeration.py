@@ -412,17 +412,45 @@ def enumerate_families(
 
 
 def job_depth(c: EnumerationConstraints) -> int:
-    """How many leading candidate decisions define one work unit."""
-    return max(0, min(10, _search_context(c).size - 6))
+    """How many leading candidate decisions define one work unit.
+
+    Up-to-iso campaigns split deeper: canonicity prunes most prefixes,
+    so the extra jobs are mostly empty ones, which subtree_jobs drops.
+    """
+    return max(0, min(14 if c.up_to_iso else 10, _search_context(c).size - 6))
 
 
-def subtree_jobs(c: EnumerationConstraints) -> list[int]:
-    """All job ids: assignments of the first job_depth() candidates."""
-    return list(range(1 << job_depth(c)))
+def subtree_jobs(c: EnumerationConstraints, depth: int | None = None) -> list[int]:
+    """The nonempty job ids at depth (job_depth(c) by default), increasing.
+
+    Job j fixes candidate i < depth as chosen iff bit i of j is set.  A
+    job is nonempty iff its replay in enumerate_job passes, because
+    every accepted prefix is itself a family; so this decides the first
+    depth candidates alone, where skipping one always passes and
+    choosing one applies the replay's viable and orbit tests.
+    """
+    ctx = _search_context(c)
+    steps, high = ctx.steps, ctx.high
+    # (job, present, viable, enc) of every prefix that passes so far
+    prefixes = [(0, 0, (1 << ctx.size) - 1, high)]
+    for i in range(job_depth(c) if depth is None else depth):
+        prefixes += [
+            (job | 1 << i, present | 1 << i, _filter_viable(ctx, viable, i, present), enc + steps[i])
+            for job, present, viable, enc in prefixes
+            if viable >> i & 1 and (enc + steps[i]) & high == high
+        ]
+    return sorted(job for job, *_ in prefixes)
 
 
-def enumerate_job(c: EnumerationConstraints, job: int, visit: CounterVisit | None = None) -> int:
-    """Enumerate one subtree; summing over subtree_jobs equals the full count.
+def enumerate_job(
+    c: EnumerationConstraints,
+    job: int,
+    visit: CounterVisit | None = None,
+    *,
+    depth: int | None = None,
+) -> int:
+    """Enumerate one subtree; summing over subtree_jobs(c, depth) equals
+    the full count, for any depth (job_depth(c) by default).
 
     Replays the job's fixed decisions with the same closure and
     canonicity tests the full search applies, so invalid assignments
@@ -433,7 +461,7 @@ def enumerate_job(c: EnumerationConstraints, job: int, visit: CounterVisit | Non
     its first job.
     """
     ctx = _search_context(c)
-    depth = job_depth(c)
+    depth = job_depth(c) if depth is None else depth
     enc = ctx.high
     counts = ctx.base
     chosen: list[int] = []

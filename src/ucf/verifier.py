@@ -162,7 +162,7 @@ def _job_worker(payload: tuple) -> dict:
     SetFamily is built only for a family that fails a check, and it is
     the same canonical representative enumerate_families visits.
     """
-    c, failing, job = payload
+    c, depth, failing, job = payload
     n = c.n
     shape_mode = n == 6 and c.t == 3
     t_counts = [0] * (n + 1)
@@ -179,7 +179,8 @@ def _job_worker(payload: tuple) -> dict:
             family = node_family(c, chosen)
             failures.extend(_failure_record(name, family) for name in fails)
 
-    count = enumerate_job(c, job, visit)
+    # depth by keyword: wrappers of enumerate_job may take (c, job, visit, **kwargs)
+    count = enumerate_job(c, job, visit, depth=depth)
     if count != sum(t_counts):
         raise AssertionError(f"visit stream ({sum(t_counts)}) disagrees with count ({count})")
     return {
@@ -225,17 +226,18 @@ def _is_failure(value, header: dict) -> bool:
         return False
 
 
-def _record_problem(record, header: dict, job_count: int) -> str | None:
-    """What makes a job record unusable in the campaign of header, or None."""
+def _record_problem(record, header: dict, depth: int) -> str | None:
+    """What makes a job record unusable in the campaign of header, split at depth, or None."""
     if not isinstance(record, dict):
         return "a job record must be an object"
     job, count, by_t, by_shape, failures = map(record.get, ("job", "count", "by_t", "by_shape", "failures"))
-    if type(job) is not int or not 0 <= job < job_count:
-        return f"job {job!r} outside 0..{job_count - 1}"
+    if type(job) is not int or not 0 <= job < 1 << depth:
+        return f"job {job!r} outside 0..{(1 << depth) - 1}"
     if not _is_count(count):
         return f"count {count!r} is not an int >= 0"
-    if not _is_tally(by_t, map(str, range(header["n"] + 1))):
-        return f"by_t {by_t!r} does not map 0..{header['n']} to ints >= 0"
+    n, t = header["n"], header["t"]
+    if not _is_tally(by_t, map(str, range(t, n + 1))):
+        return f"by_t {by_t!r} does not map {t}..{n} to ints >= 0"
     if sum(by_t.values()) != count:
         return f"by_t sums to {sum(by_t.values())}, not to count {count}"
     if not _is_tally(by_shape, SHAPE_TAGS):
@@ -247,18 +249,22 @@ def _record_problem(record, header: dict, job_count: int) -> str | None:
     return None
 
 
-def _load_checkpoint(path: str, header: dict, job_count: int) -> tuple[dict[int, dict], int]:
+def _load_checkpoint(path: str, header: dict) -> tuple[dict[int, dict], int, int]:
     """Completed job records from an earlier run of the same campaign,
-    and the length of the file's prefix that holds whole lines.
+    the length of the file's prefix that holds whole lines, and the job
+    depth the records were split at.
 
-    The first line is the campaign header; every later line is a `# agg`
-    job record or a legacy `subtree=` line, which is not read.  A run
-    stopped in the middle of a write leaves an unterminated last line;
-    it is not read, and the job it belonged to runs again.  Any other
-    line raises PreconditionViolation naming it.
+    The first line is the campaign header.  Its depth may be any int
+    from 0 up to header's, the depth of a new checkpoint, so a file
+    written with a shallower split resumes at its own depth.  Every later
+    line is a `# agg` job record or a legacy `subtree=` line, which is
+    not read.  A run stopped in the middle of a write leaves an
+    unterminated last line; it is not read, and the job it belonged to
+    runs again.  Any other line raises PreconditionViolation naming it.
     """
+    depth = header["depth"]
     if not os.path.exists(path):
-        return {}, 0
+        return {}, 0, depth
     with open(path, "rb") as fh:
         data = fh.read()
     keep = data.rfind(b"\n") + 1
@@ -270,13 +276,18 @@ def _load_checkpoint(path: str, header: dict, job_count: int) -> tuple[dict[int,
         line = raw.decode("utf-8", errors="replace")
         if lineno == 1:
             stored = _checkpoint_json(path, lineno, line[len("# campaign "):])
-            if stored != header:
+            if not isinstance(stored, dict) or {**stored, "depth": header["depth"]} != header:
                 raise PreconditionViolation(
                     f"checkpoint {path} belongs to a different campaign: {stored} != {header}"
                 )
+            depth = stored.get("depth")
+            if type(depth) is not int or not 0 <= depth <= header["depth"]:
+                raise PreconditionViolation(
+                    f"checkpoint {path} line 1: depth {depth!r} is not an int in 0..{header['depth']}"
+                )
         elif line.startswith("# agg "):
             record = _checkpoint_json(path, lineno, line[len("# agg "):])
-            problem = _record_problem(record, header, job_count)
+            problem = _record_problem(record, header, depth)
             if problem:
                 raise PreconditionViolation(f"checkpoint {path} line {lineno}: {problem}")
             job = record["job"]
@@ -287,7 +298,7 @@ def _load_checkpoint(path: str, header: dict, job_count: int) -> tuple[dict[int,
             raise PreconditionViolation(
                 f"checkpoint {path} line {lineno}: {line!r} is neither a job record nor a legacy subtree= line"
             )
-    return done, keep
+    return done, keep, depth
 
 
 def _dump_counterexample(directory: str, failure: dict) -> str:
@@ -314,14 +325,16 @@ def run_campaign(
     """Run every selected check on every enumerated family.
 
     Totals are exact; the report body is independent of the worker
-    count.  workers must be at least 1, and no more processes start
-    than there are jobs left to run.  With a checkpoint path, each
-    subtree is recorded when its result comes back and skipped on the
-    next run with the same path, so a run that was interrupted (killed,
-    torn mid-write, or stopped by an exception in a job) resumes to the
-    same report body.  Records come back in job order, one by one from
-    a serial run and (jobs left) // (p * 8) at a time from a pool of p
-    processes; a dead pool worker ends the run with BrokenProcessPool.
+    count.  Only the nonempty jobs of subtree_jobs run.  workers must
+    be at least 1, and no more processes start than there are jobs left
+    to run.  With a checkpoint path, each job is recorded when its
+    result comes back and skipped on the next run with the same path, so
+    a run that was interrupted (killed, torn mid-write, or stopped by an
+    exception in a job) resumes to the same report body, split at the
+    job depth its checkpoint header names.  Records come back in job
+    order, one by one from a serial run and (jobs left) // (p * 8) at a
+    time from a pool of p processes; a dead pool worker ends the run
+    with BrokenProcessPool.
     A job's counterexample dumps go out before its checkpoint record.
     """
     checks = tuple(checks)
@@ -335,11 +348,11 @@ def run_campaign(
         raise PreconditionViolation(f"workers must be at least 1, got {workers}")
     ensure_enumerable(c, unbounded)
     start = time.perf_counter()
-    jobs = subtree_jobs(c)
     header = _checkpoint_header(c, checks)
-    done, keep = _load_checkpoint(checkpoint, header, len(jobs)) if checkpoint else ({}, 0)
+    done, keep, depth = _load_checkpoint(checkpoint, header) if checkpoint else ({}, 0, header["depth"])
+    jobs = subtree_jobs(c, depth)
 
-    payloads = [(c, failing, job) for job in jobs if job not in done]
+    payloads = [(c, depth, failing, job) for job in jobs if job not in done]
     processes = min(workers, len(payloads))
     with ExitStack() as stack:
         if checkpoint:

@@ -35,6 +35,7 @@ from ucf import (
     t_value,
     union_closure,
 )
+from ucf.enumeration import subtree_jobs
 
 # every count below was frozen from the brute-force oracle (n <= 4),
 # from cross-checks against the ascending walk of tests/oracles.py, or
@@ -57,13 +58,14 @@ def test_criterion_1_main_theorem_exhaustive_n6_t3(tmp_path, interrupt_at_job):
     """Every isomorphism class of union-closed F over M_6 with
     emptyset, M_6 in F and T(F) = 3 is visited, with zero failures of
     the at-least-three-abundant-elements statement.  The run is
-    interrupted after 128 subtrees and resumed from its checkpoint to
+    interrupted at its middle job and resumed from its checkpoint to
     prove resumability; a single core finished it in 3.5 to 3.9 s in
     three runs on a shared 2-vCPU Intel Xeon VM (Python 3.11.7), far
     inside the 8-worker hour."""
     c = EnumerationConstraints(6, 3, up_to_iso=True)
     checkpoint = str(tmp_path / "flagship.ck")
-    with interrupt_at_job(128):
+    jobs = subtree_jobs(c)
+    with interrupt_at_job(jobs[len(jobs) // 2]):
         run_campaign(c, checkpoint=checkpoint)
     report = run_campaign(c, checkpoint=checkpoint)
 

@@ -228,6 +228,17 @@ class TestJobPartition:
         assert total == len(serial)
         assert sorted(seen) == sorted(f.members for f in serial)
 
+    @pytest.mark.parametrize("n,t,iso", [(4, 1, False), (4, 1, True), (5, 2, True), (6, 4, True)])
+    def test_subtree_jobs_are_the_nonempty_ids(self, n, t, iso):
+        c = EnumerationConstraints(n, t, up_to_iso=iso)
+        assert subtree_jobs(c) == [j for j in range(1 << job_depth(c)) if enumerate_job(c, j)]
+
+    def test_every_depth_partitions_the_search(self):
+        # a checkpoint resumes at the depth it was split at
+        c = EnumerationConstraints(5, 2, up_to_iso=True)
+        for depth in (0, 5, 10, job_depth(c)):
+            assert sum(enumerate_job(c, j, depth=depth) for j in subtree_jobs(c, depth)) == 2900
+
 
 class TestBruteForceOracle:
     def test_scale_caps(self):

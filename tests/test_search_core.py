@@ -222,7 +222,7 @@ def test_context_and_labelled_listing_run_without_numpy():
         "numpy",
         "import sys, ucf.cli\n"
         "from ucf.enumeration import EnumerationConstraints, job_depth\n"
-        "assert job_depth(EnumerationConstraints(6, 3, up_to_iso=True)) == 10"
+        "assert job_depth(EnumerationConstraints(6, 3, up_to_iso=True)) == 14"
     )
     assert not module_loaded(
         "numpy",
@@ -244,5 +244,5 @@ def test_context_builds_without_the_pool_modules():
             module,
             "import sys, ucf.cli\n"
             "from ucf.enumeration import EnumerationConstraints, job_depth\n"
-            "assert job_depth(EnumerationConstraints(6, 3, up_to_iso=True)) == 10",
+            "assert job_depth(EnumerationConstraints(6, 3, up_to_iso=True)) == 14",
         )

@@ -29,7 +29,8 @@ from ucf import (
     s_frankl_holds,
     union_closure,
 )
-from ucf.enumeration import subtree_jobs
+from ucf.cli import main
+from ucf.enumeration import job_depth, subtree_jobs
 
 N3T1 = EnumerationConstraints(3, 1)
 
@@ -45,6 +46,26 @@ OLD_N4T2_CHECKPOINT = (
     '# agg {"by_shape": {}, "by_t": {"2": 21, "3": 2}, "count": 23, "failures": [], "job": 1, "label": "14"}\n'
     "subtree=13 count=23\n"
     '# agg {"by_shape": {}, "by_t": {"2": 21, "3": 2}, "count": 23, "failures": [], "job": 2, "label": "13"}\n'
+)
+
+# the first twelve jobs of a run_campaign(EnumerationConstraints(6, 4,
+# up_to_iso=True), checkpoint=...) stopped after them, as written while
+# every campaign split at depth 10 and recorded its empty jobs too
+OLD_N6T4_ISO_CHECKPOINT = (
+    '# campaign {"checks": ["frankl", "s_frankl"], "depth": 10, "lemma_every": 1, "n": 6, '
+    '"order": "desc", "require_universe": true, "t": 4, "up_to_iso": true}\n'
+    '# agg {"by_shape": {}, "by_t": {"6": 1}, "count": 1, "failures": [], "job": 0}\n'
+    '# agg {"by_shape": {}, "by_t": {"5": 1}, "count": 1, "failures": [], "job": 1}\n'
+    '# agg {"by_shape": {}, "by_t": {}, "count": 0, "failures": [], "job": 2}\n'
+    '# agg {"by_shape": {}, "by_t": {"5": 1}, "count": 1, "failures": [], "job": 3}\n'
+    '# agg {"by_shape": {}, "by_t": {"4": 1}, "count": 1, "failures": [], "job": 4}\n'
+    '# agg {"by_shape": {}, "by_t": {"4": 1}, "count": 1, "failures": [], "job": 5}\n'
+    '# agg {"by_shape": {}, "by_t": {}, "count": 0, "failures": [], "job": 6}\n'
+    '# agg {"by_shape": {}, "by_t": {"4": 1}, "count": 1, "failures": [], "job": 7}\n'
+    '# agg {"by_shape": {}, "by_t": {}, "count": 0, "failures": [], "job": 8}\n'
+    '# agg {"by_shape": {}, "by_t": {}, "count": 0, "failures": [], "job": 9}\n'
+    '# agg {"by_shape": {}, "by_t": {}, "count": 0, "failures": [], "job": 10}\n'
+    '# agg {"by_shape": {}, "by_t": {"4": 1, "5": 1}, "count": 2, "failures": [], "job": 11}\n'
 )
 
 
@@ -74,7 +95,8 @@ class TestRunCampaign:
     def test_shape_statistics_accumulate_per_job(self):
         # one subtree of the n=6, t=3 campaign exercises the shape
         # tally; the full campaign is covered by the acceptance suite
-        payload = (EnumerationConstraints(6, 3, up_to_iso=True), verifier._failing(6, ("frankl", "s_frankl")), 0)
+        c = EnumerationConstraints(6, 3, up_to_iso=True)
+        payload = (c, job_depth(c), verifier._failing(6, ("frankl", "s_frankl")), 0)
         record = verifier._job_worker(payload)
         assert record["count"] > 0
         assert set(record["by_shape"]) <= set(SHAPE_TAGS)
@@ -346,6 +368,49 @@ run_campaign(EnumerationConstraints(4, 1), workers=2)
         assert text.startswith(OLD_N4T2_CHECKPOINT)
         assert text.count("# agg ") == len(subtree_jobs(c))
 
+    def test_fresh_iso_checkpoint_records_only_nonempty_jobs(self, tmp_path):
+        c = EnumerationConstraints(6, 4, up_to_iso=True)
+        ck = tmp_path / "run.ck"
+        run_campaign(c, workers=2, checkpoint=str(ck))
+        text = ck.read_text()
+        records = [json.loads(ln[len("# agg "):]) for ln in text.splitlines() if ln.startswith("# agg ")]
+        assert len(records) == len(subtree_jobs(c))
+        assert all(r["count"] > 0 for r in records)
+        assert '"count": 0' not in text
+
+    def test_shallower_checkpoint_resumes_at_its_own_depth(self, tmp_path, monkeypatch):
+        c = EnumerationConstraints(6, 4, up_to_iso=True)
+        assert job_depth(c) == 14
+        ck = tmp_path / "run.ck"
+        ck.write_text(OLD_N6T4_ISO_CHECKPOINT)
+        resumed = run_campaign(c, checkpoint=str(ck))
+        assert resumed.body_bytes() == run_campaign(c).body_bytes()
+        text = ck.read_text()
+        assert text.startswith(OLD_N6T4_ISO_CHECKPOINT)
+        # the old file recorded jobs 0..11 of depth 10; the rest are its nonempty ones
+        added = [json.loads(ln[len("# agg "):])["job"] for ln in text[len(OLD_N6T4_ISO_CHECKPOINT):].splitlines()]
+        assert added == [j for j in subtree_jobs(c, 10) if j > 11]
+
+        def no_job(*args, **kwargs):
+            raise AssertionError("a job of a finished checkpoint ran again")
+
+        monkeypatch.setattr(verifier, "enumerate_job", no_job)
+        assert run_campaign(c, checkpoint=str(ck)).body_bytes() == resumed.body_bytes()
+
+    def test_header_depth_must_be_an_int_up_to_job_depth(self, tmp_path, capsys):
+        c = EnumerationConstraints(6, 4, up_to_iso=True)
+        ck = tmp_path / "run.ck"
+        args = ["verify", "--n", "6", "--t", "4", "--up-to-iso", "--workers", "1", "--checkpoint", str(ck)]
+        depths = ("15", "-1", "10.0", '"10"', "true", "null")
+        texts = [OLD_N6T4_ISO_CHECKPOINT.replace('"depth": 10', f'"depth": {depth}') for depth in depths]
+        for text in [*texts, OLD_N6T4_ISO_CHECKPOINT.replace('"depth": 10, ', "")]:
+            ck.write_text(text)
+            with pytest.raises(PreconditionViolation, match="line 1: depth"):
+                run_campaign(c, checkpoint=str(ck))
+            assert main(args) == 2
+            assert "line 1: depth" in capsys.readouterr().err
+            assert ck.read_text() == text
+
     def test_headerless_nonempty_checkpoint_rejected(self, tmp_path):
         ck = tmp_path / "run.ck"
         ck.write_text("subtree=- count=3\n")
@@ -395,6 +460,9 @@ run_campaign(EnumerationConstraints(4, 1), workers=2)
             {**good, "count": good["count"] + 1},  # by_t no longer sums to count
             {**good, "by_t": {"5": good["count"]}},
             {**good, "by_t": {"02": good["count"]}},
+            # no family of a t=2 campaign has T below 2
+            {"job": 0, "count": 20, "by_t": {"1": 20}, "by_shape": {}, "failures": []},
+            {**good, "by_t": {"0": good["count"]}},
             {**good, "by_shape": {"G4": 1}},
             {**good, "by_shape": {"G3": "1"}},
             {**good, "by_shape": {"G3": 1}},  # shapes are tallied only at n=6 t=3
