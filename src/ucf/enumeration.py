@@ -22,23 +22,26 @@ is absent.  An ascending-order walk, where closure
 propagates forward as forced candidates, lives in tests/oracles.py as
 an independent cross-check of the counts.
 
-Isomorph rejection is canonical augmentation.  Encode a family as
-sum(2^mask) over its members and call it canonical when the identity
-relabeling attains the orbit maximum of that encoding.  Removing the
-smallest member preserves canonicity: if some relabeling strictly beat
-the shrunk family, padding both sides back with the removed member
-would beat the full family too, because the removed member's
-power-of-two term is smaller than any gap between distinct encodings
-of the remaining members.  Prefixes of canonical families are
-therefore canonical, and non-canonical nodes prune whole subtrees
-without losing any class.
+Isomorph rejection is canonical augmentation.  Relabeling keeps sizes,
+so it maps the pool onto itself; a candidate's rank is its index in the
+pool's ascending order.  Encode a family as sum(2^rank) over its
+candidates ({} and M_n are fixed by every relabeling, so their terms
+would cancel in every comparison) and call it canonical when the
+identity relabeling attains the orbit maximum of that encoding.
+Removing the smallest member s preserves canonicity: if a relabeling
+strictly beat the shrunk family, the largest rank where the two differ
+would lie above rank(s), so the lead would exceed the 2^rank(s) that s
+adds back, and the relabeling would beat the full family too.  Prefixes
+of canonical families are therefore canonical, and non-canonical nodes
+prune whole subtrees without losing any class.
 
 The orbit test is one Python int of n! lanes, one per permutation pi,
-each holding enc(identity) - enc(pi) plus a bias bit wider than any
-encoding.  Accepting a member adds one precomputed int, and the node is
-canonical iff every lane still has its bias bit set.  A labelled search
-context has no lanes: every step is 0 and the bias is 0, so the same
-accept step passes every node and both modes share one walk.
+each holding enc(identity) - enc(pi) plus a bias bit above it, in
+len(pool) // 8 + 1 bytes (6 at n=6 t=3).  Accepting a member adds one
+precomputed int, and the node is canonical iff every lane still has its
+bias bit set.  A labelled search context has no lanes: every step is 0
+and the bias is 0, so the same accept step passes every node and both
+modes share one walk.
 
 Next to the chosen candidates the walk carries one int of counters
 that do not change under relabeling, one byte per lane: per-element
@@ -184,20 +187,24 @@ def canonical_form(family: SetFamily) -> SetFamily:
     return SetFamily(n, tuple(sorted(images[m][perm] for m in family.members)))
 
 
-def _orbit_lanes(n: int, encoded: Sequence[Mask]) -> tuple[tuple[int, ...], int]:
+def _orbit_lanes(n: int, pool: Sequence[Mask]) -> tuple[tuple[int, ...], int]:
     """Per-member increments of the packed orbit test, and its bias bits.
 
-    Lane i (in _perms order) is w bits wide with w - 8 >= 2^n, so it
+    Lane i (in _perms order) is w bits wide with w > len(pool), so it
     holds enc(identity) - enc(perms[i]) + 2^(w-1) without overflow; the
-    increment for encoded member e is 2^e - 2^perms[i](e) in every lane.
+    increment for member m is 2^rank(m) - 2^rank(perms[i](m)) in every
+    lane, rank being the index in the ascending pool.
     """
-    lane_bytes = max(1 << n, 8) // 8 + 1
+    lane_bytes = len(pool) // 8 + 1
     ones = int.from_bytes((b"\x01" + bytes(lane_bytes - 1)) * len(_perms(n)), "little")
     images = _images(n)
-    power = [(1 << e).to_bytes(lane_bytes, "little") for e in range(1 << n)]
+    rank = {m: r for r, m in enumerate(sorted(pool))}
+    power = [b""] * (1 << n)  # by mask: a list reads faster than the dict
+    for m, r in rank.items():
+        power[m] = (1 << r).to_bytes(lane_bytes, "little")
     steps = tuple(
-        (ones << e) - int.from_bytes(b"".join([power[i] for i in images[e]]), "little")
-        for e in encoded
+        (ones << rank[m]) - int.from_bytes(b"".join([power[i] for i in images[m]]), "little")
+        for m in pool
     )
     return steps, ones << (8 * lane_bytes - 1)
 

@@ -4,10 +4,11 @@ Most of these work on frozensets of 1-based labels or brute-force
 recursion in plain Python and share no representation tricks with the
 package under test.  The exception is ``asc_walk``, the ascending-order
 orderly search: it has its own candidate order, union table, closure
-rule and canonical representative, but borrows the package's packed
-orbit lanes and counter columns (``_orbit_lanes``, ``_member_counts``,
-``split_counts``), so it cross-checks the search rather than those
-encodings, which tests/test_search_core.py checks on their own.
+rule, canonical representative and mask-encoded orbit lanes
+(``mask_lanes``), but borrows the package's counter columns
+(``_member_counts``, ``split_counts``), so it cross-checks the search
+rather than those counters, which tests/test_search_core.py checks on
+their own.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from ucf import EnumerationConstraints, SetFamily, elements_of_mask
-from ucf.enumeration import _member_counts, _orbit_lanes, split_counts
+from ucf.enumeration import _member_counts, split_counts
 
 
 def as_sets(family: SetFamily) -> list[tuple[int, ...]]:
@@ -128,6 +129,26 @@ def count_containing(family: SetFamily, element: int) -> int:
     return sum(1 for s in as_sets(family) if element in s)
 
 
+def mask_lanes(n: int, encoded: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """Per-member increments of a packed orbit test over full-width mask
+    encodings, and its bias bits.
+
+    Lane i (in itertools.permutations order) is w bits wide with
+    w - 8 >= 2^n, so it holds enc(identity) - enc(perm_i) + 2^(w-1)
+    without overflow, enc being sum(2^e); the increment for encoded member
+    e is 2^e - 2^perm_i(e) in every lane.
+    """
+    perms = list(itertools.permutations(range(n)))
+    lane_bytes = max(1 << n, 8) // 8 + 1
+    ones = int.from_bytes((b"\x01" + bytes(lane_bytes - 1)) * len(perms), "little")
+    power = [(1 << e).to_bytes(lane_bytes, "little") for e in range(1 << n)]
+    steps = tuple(
+        (ones << e) - int.from_bytes(b"".join([power[relabel_mask(e, perm)] for perm in perms]), "little")
+        for e in encoded
+    )
+    return steps, ones << (8 * lane_bytes - 1)
+
+
 @dataclass(frozen=True)
 class AscSearch:
     """Tables of the ascending walk for one (n, t) setting."""
@@ -155,7 +176,7 @@ def asc_search(n: int, t: int) -> AscSearch:
     )
     # encode complemented members, so the kept orbit representative is
     # canonical_form's
-    steps, high = _orbit_lanes(n, [full ^ m for m in pool])
+    steps, high = mask_lanes(n, [full ^ m for m in pool])
     members = (0, full)
     return AscSearch(
         full=full,

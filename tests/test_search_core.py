@@ -3,6 +3,7 @@ against the plain family functions and a plain permutation scan."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import ucf
 import ucf.enumeration as enumeration
 import ucf.verifier as verifier
-from oracles import asc_search, asc_walk, relabel_mask
+from oracles import asc_search, asc_walk, mask_lanes, relabel_mask
 from ucf import (
     CHECK_NAMES,
     EnumerationConstraints,
@@ -158,15 +159,27 @@ def plain_canonical(n: int, encoded: list[int]) -> bool:
     )
 
 
+def node_stream(c: EnumerationConstraints) -> tuple[list[int], list[tuple[bytes, int]]]:
+    """The nonempty job ids, and every (chosen, counts) the jobs visit in
+    job order."""
+    nodes: list[tuple[bytes, int]] = []
+    jobs = subtree_jobs(c)
+    for job in jobs:
+        enumerate_job(c, job, lambda chosen, counts: nodes.append((bytes(chosen), counts)))
+    return jobs, nodes
+
+
 class TestPackedOrbitTest:
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(4, 6), st.sampled_from(["desc", "asc"]), st.data())
-    def test_matches_plain_permutation_scan(self, n, order, data):
-        # asc: the lanes of the ascending walk of tests/oracles.py
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(4, 6), st.integers(1, 3), st.sampled_from(["desc", "asc"]), st.data())
+    def test_matches_plain_permutation_scan(self, n, t, order, data):
+        # desc: the rank-encoded lanes of the search; at t >= 2 the pool
+        # skips masks, so ranks differ from masks.  asc: the mask-encoded
+        # lanes of the ascending walk of tests/oracles.py
         if order == "desc":
-            ctx = enumeration._search_context(EnumerationConstraints(n, 1, True, True))
+            ctx = enumeration._search_context(EnumerationConstraints(n, t, up_to_iso=True))
         else:
-            ctx = asc_search(n, 1)
+            ctx = asc_search(n, t)
         chosen = sorted(data.draw(st.sets(st.integers(0, len(ctx.pool) - 1), max_size=10)))
         encode = (lambda mask: mask) if order == "desc" else (lambda mask: ctx.full ^ mask)
 
@@ -185,6 +198,25 @@ class TestPackedOrbitTest:
         image = [pos[relabel_mask(ctx.pool[p], best)] for p in chosen]
         assert packed(image)
         assert plain_canonical(n, [encode(ctx.pool[p]) for p in image])
+
+    def test_lanes_are_one_bit_wider_than_the_pool_in_whole_bytes(self):
+        # 41 candidates at t=3 fit 6-byte lanes, 57 at t=2 fit 8-byte lanes
+        for t, lane_bits in ((3, 48), (2, 64)):
+            ctx = enumeration._search_context(EnumerationConstraints(6, t, up_to_iso=True))
+            assert ctx.high.bit_length() == 720 * lane_bits
+
+    @pytest.mark.parametrize("n, t", [(4, 1), (4, 2), (5, 1), (5, 2), (5, 3), (6, 4)])
+    def test_rank_lanes_visit_the_mask_lanes_nodes(self, monkeypatch, n, t):
+        # same jobs, same nodes in the same order as full-width lanes that
+        # encode each member as 2^mask
+        c = EnumerationConstraints(n, t, up_to_iso=True)
+        ranked = enumeration._search_context(c)
+        steps, high = mask_lanes(n, ranked.pool)
+        assert high != ranked.high
+        expected = node_stream(c)
+        masked = dataclasses.replace(ranked, steps=steps, high=high)
+        monkeypatch.setattr(enumeration, "_search_context", lambda constraints: masked)
+        assert node_stream(c) == expected
 
     def test_labelled_context_builds_no_lanes(self, monkeypatch):
         def no_lanes(*args):
