@@ -13,6 +13,7 @@ from collections import Counter
 
 from ucf import (
     EnumerationConstraints,
+    SetFamily,
     brute_force_enumerate,
     canonical_form,
     enumerate_families,
@@ -21,8 +22,9 @@ from ucf import (
 
 c = EnumerationConstraints(n=4, t=2)
 
+# enumerate_families hands out each family's key, bytes(members)
 search: list = []
-count = enumerate_families(c, search.append)
+count = enumerate_families(c, lambda key: search.append(SetFamily(c.n, tuple(key))))
 oracle = brute_force_enumerate(c)
 print(f"n=4, t=2: search {count}, oracle {len(oracle)}")
 assert Counter(f.members for f in search) == Counter(f.members for f in oracle)
@@ -31,7 +33,7 @@ print("family multisets agree")
 # collapse to one representative per relabeling orbit
 c_iso = EnumerationConstraints(n=4, t=2, up_to_iso=True)
 classes: list = []
-enumerate_families(c_iso, classes.append)
+enumerate_families(c_iso, lambda key: classes.append(SetFamily(c_iso.n, tuple(key))))
 print(f"isomorphism classes: {len(classes)}")
 # a canonical form is hashable and names its orbit, so it is the key
 keys = [canonical_form(f) for f in classes]

@@ -101,7 +101,7 @@ def cmd_closure(args) -> int:
 def cmd_enumerate(args) -> int:
     c = EnumerationConstraints(args.n, args.t, up_to_iso=args.up_to_iso)
     keys: list[bytes] = []
-    enumerate_families(c, lambda f: keys.append(bytes(f.members)), unbounded=args.unbounded)
+    enumerate_families(c, keys.append, unbounded=args.unbounded, workers=_resolve_workers(args))
     _write_listing(keys, args.out)
     return 0
 
@@ -153,12 +153,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_closure)
 
-    def enum_flags(p, unbounded: bool = True):
+    def enum_flags(p, search: bool = True):
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--t", type=int, required=True)
         p.add_argument("--up-to-iso", action="store_true", dest="up_to_iso")
-        if unbounded:  # the oracle is capped by its pool size instead
+        if search:  # the oracle is one numpy scan, capped by its pool size
             p.add_argument("--unbounded", action="store_true", help="acknowledge a census-scale run (n=6, t<=2)")
+            p.add_argument("--workers", type=int, default=None, help="default: UCF_WORKERS or CPU count")
 
     p = sub.add_parser("enumerate", help="dump all families (canonical forms when --up-to-iso)")
     enum_flags(p)
@@ -166,13 +167,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("oracle", help="brute-force oracle listing for small configurations")
-    enum_flags(p, unbounded=False)
+    enum_flags(p, search=False)
     p.add_argument("--out")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify", help="run a verification campaign")
     enum_flags(p)
-    p.add_argument("--workers", type=int, default=None, help="default: UCF_WORKERS or CPU count")
     p.add_argument("--checkpoint", help="resumable progress file")
     p.add_argument("--report", help="write the JSON report here")
     p.add_argument("--checks", help=f"comma list from {','.join(CHECK_NAMES)} (default frankl,s_frankl)")

@@ -49,33 +49,35 @@ frequencies, per-size member counts (T(F) is the smallest nonempty
 size) and the member count m.  Accepting a member adds its precomputed
 column.  ``split_counts`` reads them back together with T(F) and the
 number of abundant elements, the two values every check needs.
-``enumerate_families`` builds a SetFamily for every node;
-``enumerate_job`` hands the visit the counters instead, so a campaign
-checks every family without building it.
+``enumerate_job`` hands the visit the counters, so a campaign checks
+every family without building it; ``enumerate_families`` hands it each
+family's listing key, bytes(members), and builds no SetFamily either.
 
 The search keeps a different representative per orbit than the public
 canonical_form, which maximises sum(2^complement(mask)) over the orbit.
 node_family and canonical_form find it as the orbit maximum of that
 encoding over a precomputed (2^n, n!) table of uint64 lanes, one per
 permutation, then relabel through a mask-image table.
-enumerate_families keeps those lanes per depth of the walk instead:
-each node's lanes are its parent's OR the row of its last member, so
-an emitted family costs one vector OR and one argmax.  64-bit lanes
-hold the encoding while 2^n <= 64, so canonical forms stop at n = 6.
-A canonical form is also the canonical key: SetFamily is frozen, hence
-hashable, and two families share a form iff they are isomorphic.
+enumerate_families walks the campaign's jobs and keeps those lanes per
+depth, seeded from the job's prefix: a node's lanes are its parent's
+OR the row of its last member, so a class costs one OR and one argmax.
+64-bit lanes hold the encoding while 2^n <= 64, so canonical forms
+stop at n = 6.  A canonical form is also the canonical key: SetFamily
+is frozen, hence hashable, and two families share a form iff they are
+isomorphic.
 
 numpy is imported only by the oracle, by canonical_form and by that
-relabel (its tables are built on first use); counting, counter visits,
-labelled listings and campaigns run without it.
+relabel (its tables are built on first use, by each pool worker);
+counting, counter visits, labelled listings and campaigns run without it.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import (
     MAX_GROUND_SIZE,
@@ -84,13 +86,14 @@ from .core import (
     SetFamily,
     full_mask,
 )
-from .errors import InfeasibleScale
+from .errors import InfeasibleScale, PreconditionViolation
 
 MAX_ENUM_GROUND = 6
 MAX_CANONICAL_GROUND = 6
 BRUTE_FORCE_POOL_CAP = 22
 
-Visit = Callable[[SetFamily], None]
+# visit(key): key is bytes(members) of one family, members ascending
+Visit = Callable[[bytes], None]
 # visit(chosen, counts): chosen lists the family's pool positions and is
 # the walk's own list (copy it to keep it); counts packs its counters,
 # see split_counts
@@ -248,9 +251,6 @@ def split_counts(n: int, counts: int) -> tuple[int, int, int, int, int]:
 class _Search:
     """Precomputed search tables for one EnumerationConstraints."""
 
-    n: int
-    # members every node has: the empty set and M_n
-    fixed: tuple[Mask, ...]
     pool: tuple[Mask, ...]
     # groups[p]: (u, qs) pairs, qs the later candidates whose union with
     # pool[p] is the strict superset pool[u] (an earlier candidate)
@@ -272,7 +272,6 @@ class _Search:
 def _search_context(c: EnumerationConstraints) -> _Search:
     n = c.n
     full = full_mask(n)
-    fixed = (0, full)
     pool = tuple(m for m in range(full - 1, 0, -1) if c.t <= m.bit_count())
     pos = {mask: i for i, mask in enumerate(pool)}
     groups = []
@@ -287,57 +286,55 @@ def _search_context(c: EnumerationConstraints) -> _Search:
         groups.append(tuple(by_union.items()))
     steps, high = _orbit_lanes(n, pool) if c.up_to_iso else ((0,) * len(pool), 0)
     return _Search(
-        n=n,
-        fixed=fixed,
         pool=pool,
         groups=tuple(groups),
         cols=tuple(_member_counts(m, n) for m in pool),
-        base=sum(_member_counts(m, n) for m in fixed),
+        base=_member_counts(0, n) + _member_counts(full, n),
         steps=steps,
         high=high,
     )
 
 
-def _family(ctx: _Search, masks: list[Mask]) -> SetFamily:
-    """The family of the chosen masks plus the members every node has."""
-    masks += ctx.fixed
-    masks.sort()
-    return SetFamily(ctx.n, tuple(masks))
-
-
 def node_family(c: EnumerationConstraints, chosen: Sequence[int]) -> SetFamily:
-    """The family behind a counter visit's chosen positions, exactly as
-    enumerate_families visits it."""
+    """The family behind a counter visit's chosen positions, the one whose
+    key enumerate_families hands out."""
     ctx = _search_context(c)
-    family = _family(ctx, [ctx.pool[p] for p in chosen])
+    family = SetFamily(c.n, tuple(sorted([0, full_mask(c.n), *[ctx.pool[p] for p in chosen]])))
     if c.up_to_iso:
         return canonical_form(family)
     return family
 
 
-def _canonical_emit(ctx: _Search, visit: Visit) -> CounterVisit:
-    """A counter visit of the iso walk that hands visit each node
-    relabeled to its public canonical form.
+def _key_emit(c: EnumerationConstraints, job: int, depth: int, visit: Visit) -> CounterVisit:
+    """A counter visit for enumerate_job(c, job, depth=depth) that hands
+    visit each node's key, bytes(node_family(c, chosen).members).
 
-    The walk visits in preorder, so when a node of depth d is visited,
-    lanes[d - 1] still holds its parent's complement encodings; the
-    node's are those OR the row of its last chosen member.  lanes[0] is
-    never written: the root's lanes are all 0, so it keeps the identity.
+    In preorder, lanes[d - 1] holds a depth-d node's parent's complement
+    encodings when it is visited.  The job's replay visits its prefix of
+    k members first, so lanes[1..k-1] are seeded from that prefix;
+    lanes[0], all 0, is the root's and keeps the identity.
     """
+    ctx = _search_context(c)
+    pool, full = ctx.pool, full_mask(c.n)
+    if not c.up_to_iso:
+        # the pool descends and chosen ascends, so the members come out ascending
+        return lambda chosen, counts: visit(bytes([0, *[pool[p] for p in reversed(chosen)], full]))
     import numpy as np
 
-    n, pool = ctx.n, ctx.pool
-    powers, images = _comp_powers(n), _images(n)
+    powers, images = _comp_powers(c.n), _images(c.n)
     rows = [powers[m] for m in pool]
     image_rows = [images[m] for m in pool]
     lanes = [np.zeros(powers.shape[1], dtype=np.uint64) for _ in range(ctx.size + 1)]
+    prefix = [i for i in range(depth) if job >> i & 1]
+    for d, p in enumerate(prefix[:-1], start=1):
+        np.bitwise_or(lanes[d - 1], rows[p], out=lanes[d])
 
     def emit(chosen: list[int], counts: int) -> None:
         d = len(chosen)
         if d:
             np.bitwise_or(lanes[d - 1], rows[chosen[-1]], out=lanes[d])
         perm = int(lanes[d].argmax())
-        visit(_family(ctx, [image_rows[p][perm] for p in chosen]))
+        visit(bytes(sorted([0, full, *[image_rows[p][perm] for p in chosen]])))
 
     return emit
 
@@ -394,28 +391,29 @@ def enumerate_families(
     visit: Visit | None = None,
     *,
     unbounded: bool = False,
+    workers: int = 1,
 ) -> int:
-    """Visit every family satisfying c (one per orbit when up_to_iso).
+    """Hand visit the key, bytes(members), of every family satisfying c,
+    in up_to_iso mode of its orbit's canonical_form; return the count.
 
-    Returns the count; the visit stream is deterministic for given
-    constraints.  Families arrive union-closed with the empty
-    set included, and in up_to_iso mode each is its orbit's canonical
-    representative.
+    Keys arrive job by job in subtree_jobs order, each job's sorted, so
+    the stream is the same for any workers >= 1; more than one runs the
+    jobs on a pool (see map_jobs).  Without a visit, one serial walk counts.
     """
+    if workers < 1:
+        raise PreconditionViolation(f"workers must be at least 1, got {workers}")
     ensure_enumerable(c, unbounded)
-    ctx = _search_context(c)
     if visit is None:
-        sink = None
-    elif c.up_to_iso:
-        sink = _canonical_emit(ctx, visit)
-    else:
-        pool = ctx.pool
-
-        def sink(chosen: list[int], counts: int) -> None:
-            visit(_family(ctx, [pool[p] for p in chosen]))
-
-    viable = (1 << ctx.size) - 1
-    return _walk_desc(ctx, sink, 0, viable, ctx.high, [], ctx.base)
+        ctx = _search_context(c)
+        return _walk_desc(ctx, None, 0, (1 << ctx.size) - 1, ctx.high, [], ctx.base)
+    depth = job_depth(c)
+    count = 0
+    with ExitStack() as stack:
+        for keys in map_jobs(stack, _job_keys, [(c, depth, job) for job in subtree_jobs(c, depth)], workers):
+            count += len(keys)
+            for key in keys:
+                visit(key)
+    return count
 
 
 def job_depth(c: EnumerationConstraints) -> int:
@@ -488,6 +486,37 @@ def enumerate_job(
         counts += ctx.cols[i]
     # the job decided every candidate below depth; those it left out stay out
     return _walk_desc(ctx, visit, present, viable >> depth << depth, enc, chosen, counts)
+
+
+def _job_keys(payload: tuple) -> list[bytes]:
+    """The sorted keys of one job's families; payload is (c, depth, job)."""
+    c, depth, job = payload
+    keys: list[bytes] = []
+    enumerate_job(c, job, _key_emit(c, job, depth, keys.append), depth=depth)
+    keys.sort()
+    return keys
+
+
+def map_jobs(stack: ExitStack, fn: Callable, payloads: list, workers: int) -> Iterator:
+    """fn over payloads, in payload order: in this process for one worker
+    or one payload, else on min(workers, len(payloads)) forked processes
+    that take len(payloads) // (processes * 8) at a time.  stack shuts
+    the pool down, cancelling what has not started; a dead worker raises
+    BrokenProcessPool, and on Linux the workers die with this process.
+    """
+    processes = min(workers, len(payloads))
+    if processes <= 1:
+        return map(fn, payloads)
+    # imported only for a pool: they add about a quarter to the import time of ucf.cli
+    import ctypes
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Linux's prctl(PR_SET_PDEATHSIG, SIGKILL): a worker dies with its parent, not waits forever
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    pool = ProcessPoolExecutor(processes, multiprocessing.get_context("fork"), initializer=prctl, initargs=(1, 9))
+    stack.callback(pool.shutdown, cancel_futures=True)
+    return pool.map(fn, payloads, chunksize=max(1, len(payloads) // (processes * 8)))
 
 
 def brute_force_enumerate(c: EnumerationConstraints) -> list[SetFamily]:

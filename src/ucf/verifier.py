@@ -48,6 +48,7 @@ from .enumeration import (
     ensure_enumerable,
     enumerate_job,
     job_depth,
+    map_jobs,
     node_family,
     split_counts,
     subtree_jobs,
@@ -332,10 +333,9 @@ def run_campaign(
     a run that was interrupted (killed, torn mid-write, or stopped by an
     exception in a job) resumes to the same report body, split at the
     job depth its checkpoint header names.  Records come back in job
-    order, one by one from a serial run and (jobs left) // (p * 8) at a
-    time from a pool of p processes; a dead pool worker ends the run
-    with BrokenProcessPool.
-    A job's counterexample dumps go out before its checkpoint record.
+    order, from a pool a chunk at a time (see map_jobs), and a dead pool
+    worker ends the run with BrokenProcessPool.  A job's counterexample
+    dumps go out before its checkpoint record.
     """
     checks = tuple(checks)
     for i, name in enumerate(checks):
@@ -353,7 +353,6 @@ def run_campaign(
     jobs = subtree_jobs(c, depth)
 
     payloads = [(c, depth, failing, job) for job in jobs if job not in done]
-    processes = min(workers, len(payloads))
     with ExitStack() as stack:
         if checkpoint:
             ck_fh = stack.enter_context(open(checkpoint, "a", encoding="utf-8"))
@@ -361,20 +360,7 @@ def run_campaign(
             if not keep:
                 ck_fh.write(_header_line(header))
                 ck_fh.flush()
-        if processes <= 1:
-            records = map(_job_worker, payloads)
-        else:
-            # imported only for a pool: they add about a quarter to the import time of ucf.cli
-            import ctypes
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            # Linux's prctl(PR_SET_PDEATHSIG, SIGKILL): a worker dies with the campaign, not waits forever
-            prctl = getattr(ctypes.CDLL(None), "prctl", None)
-            pool = ProcessPoolExecutor(processes, multiprocessing.get_context("fork"), initializer=prctl, initargs=(1, 9))
-            stack.callback(pool.shutdown, cancel_futures=True)
-            records = pool.map(_job_worker, payloads, chunksize=max(1, len(payloads) // (processes * 8)))
-        for record in records:
+        for record in map_jobs(stack, _job_worker, payloads, workers):
             # dumps first: a job whose record is written has all its findings on disk
             if counterexample_dir:
                 for failure in record["failures"]:

@@ -107,6 +107,23 @@ class TestEnumerate:
         out = capsys.readouterr().out
         assert out.startswith("count=40\n")
 
+    def test_pooled_listing_matches_serial(self, tmp_path, capsys):
+        outs = [str(tmp_path / f"w{workers}.txt") for workers in (1, 2)]
+        for workers, out in zip((1, 2), outs):
+            argv = ["enumerate", "--n", "5", "--t", "3", "--up-to-iso", "--workers", str(workers), "--out", out]
+            assert main(argv) == 0
+        assert capsys.readouterr().out == "count=119\ncount=119\n"
+        with open(outs[0], "rb") as serial, open(outs[1], "rb") as pooled:
+            assert serial.read() == pooled.read()
+
+    def test_workers_below_one_exit_two(self, capsys, monkeypatch):
+        # the flag and its UCF_WORKERS default are those of ucf verify
+        assert main(["enumerate", "--n", "4", "--t", "2", "--workers", "0"]) == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
+        monkeypatch.setenv("UCF_WORKERS", "0")
+        assert main(["enumerate", "--n", "4", "--t", "2"]) == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
+
     def test_census_scale_needs_unbounded(self, capsys):
         assert main(["enumerate", "--n", "6", "--t", "2"]) == 2
         assert "unbounded" in capsys.readouterr().err
@@ -282,6 +299,9 @@ class TestParserPlumbing:
             ["enumerate", "--n", "3", "--t", "1", "--order", "desc"],
             ["verify", "--n", "3", "--t", "1", "--order", "desc"],
             ["verify", "--n", "3", "--t", "1", "--lemma-every", "1"],
+            # the oracle is one numpy scan: no pool, no census-scale flag
+            ["oracle", "--n", "3", "--t", "1", "--workers", "2"],
+            ["oracle", "--n", "3", "--t", "1", "--unbounded"],
         ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -12,6 +15,7 @@ from oracles import asc_families, asc_walk, naive_canonical_members, relabel_fam
 from ucf import (
     EnumerationConstraints,
     InfeasibleScale,
+    PreconditionViolation,
     SetFamily,
     brute_force_enumerate,
     canonical_form,
@@ -42,7 +46,7 @@ KNOWN_COUNTS = {
 
 def collect(c: EnumerationConstraints) -> list[SetFamily]:
     out: list[SetFamily] = []
-    n = enumerate_families(c, out.append)
+    n = enumerate_families(c, lambda key: out.append(SetFamily(c.n, tuple(key))))
     assert n == len(out)
     return out
 
@@ -176,17 +180,16 @@ class TestEnumerateFamilies:
                 chosen = sorted(pos[m] for m in family.members if m in pos)
                 assert node_family(c, chosen) == family
             return
-        # the walk tries positions in increasing order and visits a node
-        # before its children, so the visit stream of enumerate_families
-        # lists the nodes in lexicographic order of their chosen positions
-        nodes: list[list[int]] = []
+        # enumerate_families hands out each job's keys sorted, job by job
+        # in subtree_jobs order
+        expected: list[bytes] = []
         for job in subtree_jobs(c):
+            nodes: list[list[int]] = []
             enumerate_job(c, job, lambda chosen, counts: nodes.append(chosen[:]))
-        nodes.sort()
-        visited = collect(c)
-        assert len(visited) == len(nodes)
-        for chosen, family in zip(nodes, visited):
-            assert node_family(c, chosen) == family
+            expected += sorted(bytes(node_family(c, chosen).members) for chosen in nodes)
+        keys: list[bytes] = []
+        assert enumerate_families(c, keys.append) == len(expected)
+        assert keys == expected
 
     def test_iso_collapses_raw_orbits_exactly(self):
         raw_keys = {canonical_form(f) for f in collect(EnumerationConstraints(4, 2))}
@@ -203,6 +206,68 @@ class TestEnumerateFamilies:
     def test_count_without_visitor(self):
         c = EnumerationConstraints(4, 1)
         assert enumerate_families(c) == 2271
+
+    @pytest.mark.parametrize("n,t,iso", [(5, 3, True), (6, 4, True), (4, 1, False), (4, 2, False)])
+    def test_every_emitted_key_is_its_node_family(self, n, t, iso):
+        # a job's replay visits its prefix node first, so the per-depth
+        # lanes of an up-to-iso emit are seeded from the job's prefix
+        c = EnumerationConstraints(n, t, up_to_iso=iso)
+        depth = job_depth(c)
+        nodes = 0
+        for job in subtree_jobs(c):
+            keys: list[bytes] = []
+            emit = enumeration._key_emit(c, job, depth, keys.append)
+
+            def checked(chosen: list[int], counts: int) -> None:
+                emit(chosen, counts)
+                assert keys[-1] == bytes(node_family(c, chosen).members), (job, chosen)
+
+            nodes += enumerate_job(c, job, checked, depth=depth)
+        assert nodes == enumerate_families(c)
+
+    @pytest.mark.parametrize("n,t,iso", [(5, 2, False), (5, 3, True)])
+    def test_visit_stream_is_the_same_on_a_pool(self, n, t, iso):
+        c = EnumerationConstraints(n, t, up_to_iso=iso)
+        streams = []
+        for workers in (1, 2):
+            keys: list[bytes] = []
+            assert enumerate_families(c, keys.append, workers=workers) == KNOWN_COUNTS[(n, t)][iso]
+            streams.append(keys)
+        assert streams[0] == streams[1]
+
+    def test_workers_below_one_rejected(self):
+        for workers in (0, -3):
+            with pytest.raises(PreconditionViolation, match="workers must be at least 1"):
+                enumerate_families(EnumerationConstraints(3, 1), [].append, workers=workers)
+
+    def test_dead_pool_worker_fails_the_listing(self):
+        # a listing whose pool worker is killed (SIGKILL, or the OOM killer)
+        # must fail, not hang; run apart, so a hang fails on the timeout
+        code = """
+import os, signal
+from concurrent.futures.process import BrokenProcessPool
+import ucf.enumeration as enumeration
+from ucf import EnumerationConstraints, enumerate_families
+
+c = EnumerationConstraints(4, 1)
+jobs = enumeration.subtree_jobs(c)
+enumerate_job = enumeration.enumerate_job
+
+def job(c, j, *args, **kwargs):
+    if j == jobs[len(jobs) // 2]:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return enumerate_job(c, j, *args, **kwargs)
+
+enumeration.enumerate_job = job
+try:
+    enumerate_families(c, [].append, workers=2)
+    raise SystemExit("the listing survived a dead worker")
+except BrokenProcessPool:
+    pass
+"""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(enumeration.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
 
 
 class TestJobPartition:

@@ -146,7 +146,7 @@ class TestCounters:
     def test_counter_visit_matches_family_visit(self):
         c = EnumerationConstraints(5, 3, up_to_iso=True)
         families = []
-        enumerate_families(c, families.append)
+        enumerate_families(c, lambda key: families.append(SetFamily(c.n, tuple(key))))
         assert sorted(f.members for f in families) == sorted(walk_counters(c, "desc"))
 
 
@@ -261,12 +261,15 @@ def test_context_and_labelled_listing_run_without_numpy():
         "import os, sys, ucf.cli\n"
         "assert ucf.cli.main(['enumerate', '--n', '5', '--t', '3', '--out', os.devnull]) == 0"
     )
-    # the canonical relabel of an up-to-iso listing does load it
-    assert module_loaded(
-        "numpy",
-        "import os, sys, ucf.cli\n"
-        "assert ucf.cli.main(['enumerate', '--n', '5', '--t', '3', '--up-to-iso', '--out', os.devnull]) == 0"
-    )
+    # the canonical relabel of an up-to-iso listing does load it, in the
+    # processes that walk: this one when serial, only the workers of a pool
+    for workers, loaded in (("1", True), ("2", False)):
+        assert module_loaded(
+            "numpy",
+            "import os, sys, ucf.cli\n"
+            "argv = ['enumerate', '--n', '5', '--t', '3', '--up-to-iso', '--out', os.devnull]\n"
+            f"assert ucf.cli.main(argv + ['--workers', '{workers}']) == 0",
+        ) is loaded
 
 
 def test_context_builds_without_the_pool_modules():
