@@ -14,7 +14,13 @@ import sys
 from typing import Iterable
 
 from .core import union_closure
-from .enumeration import MAX_ENUM_GROUND, EnumerationConstraints, brute_force_enumerate, enumerate_families
+from .enumeration import (
+    MAX_ENUM_GROUND,
+    EnumerationConstraints,
+    brute_force_enumerate,
+    candidate_order,
+    enumerate_families,
+)
 from .errors import ParseError, UcfError
 from .fileformat import format_family, parse_family
 from .verifier import CHECK_NAMES, check_single, run_campaign
@@ -131,7 +137,7 @@ def cmd_verify(args) -> int:
         if tally is not None:
             lines.append(f"{name}: " + "  ".join(f"{k}:{v}" for k, v in sorted(tally.items())))
     lines.append(f"counterexamples: {len(report.counterexamples)}")
-    lines.append(f"wall_time: {report.wall_time:.2f}s  workers: {report.workers}  order: desc")
+    lines.append(f"wall_time: {report.wall_time:.2f}s  workers: {report.workers}  order: {candidate_order(c)}")
     _write(None, [line + "\n" for line in lines])
     return 1 if report.counterexamples else 0
 

@@ -10,38 +10,49 @@ cardinality >= t.  Two independent routes exist:
   representative per relabeling orbit, and
 * ``brute_force_enumerate``, a vectorized subset scan used as an oracle.
 
-The search decides candidates in descending mask order.  A union of two
-masks is numerically >= both, so when a candidate is accepted every
-union constraint it creates points at already-decided candidates:
+The search decides candidates in descending mask order, and up to
+isomorphism size-major, by (|m|, m) descending.  Both orders put every
+strict superset of a mask before it, and the union of two masks is one
+of them or a strict superset of both, so every union constraint an
+accepted candidate creates points at already-decided candidates:
 closure is a pure look-back test, and each accepted prefix is itself a
 complete union-closed family.  The test reads a union table grouped by
 union: for candidate p it lists each earlier candidate u together with
 the bitmask of the later candidates whose union with p is u, so
 accepting p keeps the candidates after it and drops each group whose u
-is absent.  An ascending-order walk, where closure
-propagates forward as forced candidates, lives in tests/oracles.py as
-an independent cross-check of the counts.
+is absent.  An ascending-order walk, where closure propagates forward as
+forced candidates, lives in tests/oracles.py as an independent
+cross-check of the counts.
 
 Isomorph rejection is canonical augmentation.  Relabeling keeps sizes,
-so it maps the pool onto itself; a candidate's rank is its index in the
-pool's ascending order.  Encode a family as sum(2^rank) over its
-candidates ({} and M_n are fixed by every relabeling, so their terms
-would cancel in every comparison) and call it canonical when the
-identity relabeling attains the orbit maximum of that encoding.
-Removing the smallest member s preserves canonicity: if a relabeling
-strictly beat the shrunk family, the largest rank where the two differ
-would lie above rank(s), so the lead would exceed the 2^rank(s) that s
-adds back, and the relabeling would beat the full family too.  Prefixes
-of canonical families are therefore canonical, and non-canonical nodes
-prune whole subtrees without losing any class.
+so it maps the pool onto itself; a candidate's rank is len(pool) - 1 -
+its position, so ranks ascend in (|m|, m).  Encode a family as
+sum(2^rank) over its candidates ({} and M_n are fixed by every
+relabeling, so their terms would cancel in every comparison) and call
+it canonical when the identity relabeling attains the orbit maximum of
+that encoding.  Removing the member s of lowest rank preserves
+canonicity: if a relabeling strictly beat the shrunk family, the
+largest rank where the two differ would lie above rank(s), so the lead
+would exceed the 2^rank(s) that s adds back, and the relabeling would
+beat the full family too.  Prefixes of canonical families are therefore
+canonical, and non-canonical nodes prune whole subtrees without losing
+any class.
 
-The orbit test is one Python int of n! lanes, one per permutation pi,
+The orbit test is one Python int of lanes, one per permutation pi,
 each holding enc(identity) - enc(pi) plus a bias bit above it, in
 len(pool) // 8 + 1 bytes (6 at n=6 t=3).  Accepting a member adds one
 precomputed int, and the node is canonical iff every lane still has its
-bias bit set.  A labelled search context has no lanes: every step is 0
-and the bias is 0, so the same accept step passes every node and both
-modes share one walk.
+bias bit set.  The root has all n! lanes; the walk drops most of them
+level by level.  Before a node's first child of smaller size than its
+last member, every candidate of that size or more is decided.  A lane
+above its bias then stays above: the family beats its image at a rank
+of those sizes, and every later member, and its image, ranks below all
+of them.  So only the lanes at exactly their bias go on, restarted at
+bias: the permutations that fix the family setwise (about 12 of 720 at
+n=6 t=3).  enumerate_job's replay and subtree_jobs switch at the same
+children, so a job starts with its prefix's lanes.  A labelled context
+has no lanes and no lower levels: every step and the bias are 0, so
+the same accept step passes every node and both modes share one walk.
 
 Next to the chosen candidates the walk carries one int of counters
 that do not change under relabeling, one byte per lane: per-element
@@ -98,6 +109,8 @@ Visit = Callable[[bytes], None]
 # the walk's own list (copy it to keep it); counts packs its counters,
 # see split_counts
 CounterVisit = Callable[[list[int], int], None]
+# a packed orbit test, see _orbit: (lanes, per-member steps, bias bits)
+_Orbit = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
@@ -190,26 +203,31 @@ def canonical_form(family: SetFamily) -> SetFamily:
     return SetFamily(n, tuple(sorted(images[m][perm] for m in family.members)))
 
 
-def _orbit_lanes(n: int, pool: Sequence[Mask]) -> tuple[tuple[int, ...], int]:
-    """Per-member increments of the packed orbit test, and its bias bits.
+@lru_cache(maxsize=32)
+def _orbit(n: int, pool: tuple[Mask, ...], lanes: tuple[int, ...]) -> _Orbit:
+    """The packed orbit test over the permutations lanes (indices into
+    _perms(n)): (lanes, per-member increments, bias bits).
 
-    Lane i (in _perms order) is w bits wide with w > len(pool), so it
-    holds enc(identity) - enc(perms[i]) + 2^(w-1) without overflow; the
-    increment for member m is 2^rank(m) - 2^rank(perms[i](m)) in every
-    lane, rank being the index in the ascending pool.
+    Lane i is w bits wide with w > len(pool), so it holds enc(identity)
+    - enc(perms[lanes[i]]) + 2^(w-1) without overflow; the increment for
+    member m is 2^rank(m) - 2^rank(perms[lanes[i]](m)) in every lane, with
+    rank(m) = len(pool) - 1 - position of m.
     """
     lane_bytes = len(pool) // 8 + 1
-    ones = int.from_bytes((b"\x01" + bytes(lane_bytes - 1)) * len(_perms(n)), "little")
+    ones = int.from_bytes((b"\x01" + bytes(lane_bytes - 1)) * len(lanes), "little")
     images = _images(n)
-    rank = {m: r for r, m in enumerate(sorted(pool))}
-    power = [b""] * (1 << n)  # by mask: a list reads faster than the dict
-    for m, r in rank.items():
-        power[m] = (1 << r).to_bytes(lane_bytes, "little")
+    top = len(pool) - 1
+    power = [b""] * (1 << n)  # by mask: a list reads faster than a dict
+    for i, m in enumerate(pool):
+        power[m] = (1 << top - i).to_bytes(lane_bytes, "little")
+    rows = [images[m] for m in pool]
+    if len(lanes) < len(images[0]):  # a stabilizer's lanes
+        rows = [[row[j] for j in lanes] for row in rows]
     steps = tuple(
-        (ones << rank[m]) - int.from_bytes(b"".join([power[i] for i in images[m]]), "little")
-        for m in pool
+        (ones << top - i) - int.from_bytes(b"".join([power[k] for k in row]), "little")
+        for i, row in enumerate(rows)
     )
-    return steps, ones << (8 * lane_bytes - 1)
+    return lanes, steps, ones << (8 * lane_bytes - 1)
 
 
 def _member_counts(mask: Mask, n: int) -> int:
@@ -251,6 +269,7 @@ def split_counts(n: int, counts: int) -> tuple[int, int, int, int, int]:
 class _Search:
     """Precomputed search tables for one EnumerationConstraints."""
 
+    n: int
     pool: tuple[Mask, ...]
     # groups[p]: (u, qs) pairs, qs the later candidates whose union with
     # pool[p] is the strict superset pool[u] (an earlier candidate)
@@ -259,13 +278,19 @@ class _Search:
     # candidate chosen, so a node's counters are base plus its columns
     cols: tuple[int, ...]
     base: int
-    # orbit lanes: all 0 in a labelled context, so every node passes
-    steps: tuple[int, ...]
-    high: int
+    # the root's orbit test (see _orbit): no lanes, every step 0 and no
+    # bias in a labelled context, so every node passes
+    orbit: _Orbit
+    # lower[p]: the candidates of smaller size than pool[p], where the
+    # walk keeps only the stabilizer's lanes; all 0 in a labelled context
+    lower: tuple[int, ...]
 
     @property
     def size(self) -> int:
         return len(self.pool)
+
+    steps = property(lambda self: self.orbit[1])
+    high = property(lambda self: self.orbit[2])
 
 
 @lru_cache(maxsize=64)
@@ -273,25 +298,34 @@ def _search_context(c: EnumerationConstraints) -> _Search:
     n = c.n
     full = full_mask(n)
     pool = tuple(m for m in range(full - 1, 0, -1) if c.t <= m.bit_count())
+    lower = (0,) * len(pool)
+    orbit: _Orbit = ((), (0,) * len(pool), 0)
+    if c.up_to_iso:
+        # size-major: a stable sort keeps each size's masks descending
+        pool = tuple(sorted(pool, key=int.bit_count, reverse=True))
+        # the candidates of size k or more come first, and there are first[k] of them
+        first = [sum(m.bit_count() >= k for m in pool) for k in range(n + 1)]
+        lower = tuple((1 << len(pool)) - (1 << first[m.bit_count()]) for m in pool)
+        orbit = _orbit(n, pool, tuple(range(len(_perms(n)))))
     pos = {mask: i for i, mask in enumerate(pool)}
     groups = []
     for p, a in enumerate(pool):
-        # a union with a later (smaller) candidate is a itself or larger;
-        # a forced M_n is not in pos and constrains nothing
+        # in either order a union with a later candidate is a itself or an
+        # earlier candidate; a forced M_n is not in pos and constrains nothing
         by_union: dict[int, int] = {}
         for q in range(p + 1, len(pool)):
             u = pos.get(a | pool[q], p)
             if u != p:
                 by_union[u] = by_union.get(u, 0) | 1 << q
         groups.append(tuple(by_union.items()))
-    steps, high = _orbit_lanes(n, pool) if c.up_to_iso else ((0,) * len(pool), 0)
     return _Search(
+        n=n,
         pool=pool,
         groups=tuple(groups),
         cols=tuple(_member_counts(m, n) for m in pool),
         base=_member_counts(0, n) + _member_counts(full, n),
-        steps=steps,
-        high=high,
+        orbit=orbit,
+        lower=lower,
     )
 
 
@@ -349,6 +383,26 @@ def _filter_viable(ctx: _Search, viable: int, p: int, present: int) -> int:
     return out
 
 
+def _stabilizer(ctx: _Search, orbit: _Orbit, enc: int) -> _Orbit:
+    """The orbit test kept below a level: the lanes of enc at exactly their
+    bias, the permutations that fix the chosen family, restarted at bias."""
+    lanes, _, high = orbit
+    width = ctx.size // 8 + 1  # bytes per lane
+    # a lane minus 1 keeps its bias bit iff the lane is ahead of its bias
+    ahead = (enc - (high >> (8 * width - 1))) & high
+    at_bias = (ahead ^ high).to_bytes(len(lanes) * width, "little")[width - 1 :: width]
+    return _orbit(ctx.n, ctx.pool, tuple(itertools.compress(lanes, at_bias)))
+
+
+def _accept(ctx: _Search, orbit: _Orbit, enc: int, lower: int, p: int) -> tuple[_Orbit, int]:
+    """The orbit test and enc after accepting p below a node with lower (see
+    _walk_desc); enc keeps every bias bit iff the child is canonical."""
+    if lower >> p & 1:
+        orbit = _stabilizer(ctx, orbit, enc)
+        enc = orbit[2]
+    return orbit, enc + orbit[1][p]
+
+
 def _walk_desc(
     ctx: _Search,
     visit: CounterVisit | None,
@@ -357,18 +411,27 @@ def _walk_desc(
     enc: int,
     chosen: list[int],
     counts: int,
+    orbit: _Orbit,
+    lower: int,
 ) -> int:
     # every node is a complete family: unions of accepted masks are
-    # numerically larger, hence already decided and present
+    # earlier candidates, hence already decided and present
     if visit is not None:
         visit(chosen, counts)
     count = 1
-    steps, high, cols = ctx.steps, ctx.high, ctx.cols
+    # lower: ctx.lower of the last member, 0 at the root
+    _, steps, high = orbit
+    cols, lowers = ctx.cols, ctx.lower
     rem = viable
     while rem:
         low = rem & -rem
         p = low.bit_length() - 1
         rem ^= low
+        if low & lower:
+            # the first child below the last member's size: see the module docstring
+            orbit = _stabilizer(ctx, orbit, enc)
+            _, steps, high = orbit
+            enc, lower = high, 0
         enc2 = enc + steps[p]
         if enc2 & high != high:
             continue
@@ -381,6 +444,8 @@ def _walk_desc(
             enc2,
             chosen,
             counts + cols[p],
+            orbit,
+            lowers[p],
         )
         chosen.pop()
     return count
@@ -405,7 +470,7 @@ def enumerate_families(
     ensure_enumerable(c, unbounded)
     if visit is None:
         ctx = _search_context(c)
-        return _walk_desc(ctx, None, 0, (1 << ctx.size) - 1, ctx.high, [], ctx.base)
+        return _walk_desc(ctx, None, 0, (1 << ctx.size) - 1, ctx.high, [], ctx.base, ctx.orbit, 0)
     depth = job_depth(c)
     count = 0
     with ExitStack() as stack:
@@ -416,13 +481,19 @@ def enumerate_families(
     return count
 
 
+def candidate_order(c: EnumerationConstraints) -> str:
+    """The name of the walk's candidate order, which gives job ids their
+    meaning: "levels" (size-major) up to isomorphism, else "desc"."""
+    return "levels" if c.up_to_iso else "desc"
+
+
 def job_depth(c: EnumerationConstraints) -> int:
     """How many leading candidate decisions define one work unit.
 
     Up-to-iso campaigns split deeper: canonicity prunes most prefixes,
     so the extra jobs are mostly empty ones, which subtree_jobs drops.
     """
-    return max(0, min(14 if c.up_to_iso else 10, _search_context(c).size - 6))
+    return max(0, min(16 if c.up_to_iso else 10, _search_context(c).size - 6))
 
 
 def subtree_jobs(c: EnumerationConstraints, depth: int | None = None) -> list[int]:
@@ -435,15 +506,15 @@ def subtree_jobs(c: EnumerationConstraints, depth: int | None = None) -> list[in
     choosing one applies the replay's viable and orbit tests.
     """
     ctx = _search_context(c)
-    steps, high = ctx.steps, ctx.high
-    # (job, present, viable, enc) of every prefix that passes so far
-    prefixes = [(0, 0, (1 << ctx.size) - 1, high)]
+    # (job, present, viable, enc, orbit) of every prefix that passes so far
+    prefixes = [(0, 0, (1 << ctx.size) - 1, ctx.high, ctx.orbit)]
     for i in range(job_depth(c) if depth is None else depth):
-        prefixes += [
-            (job | 1 << i, present | 1 << i, _filter_viable(ctx, viable, i, present), enc + steps[i])
-            for job, present, viable, enc in prefixes
-            if viable >> i & 1 and (enc + steps[i]) & high == high
-        ]
+        for job, present, viable, enc, orbit in prefixes[:]:
+            if viable >> i & 1:
+                orbit, enc = _accept(ctx, orbit, enc, ctx.lower[job.bit_length() - 1] if job else 0, i)
+                if enc & orbit[2] == orbit[2]:
+                    viable = _filter_viable(ctx, viable, i, present)
+                    prefixes.append((job | 1 << i, present | 1 << i, viable, enc, orbit))
     return sorted(job for job, *_ in prefixes)
 
 
@@ -467,25 +538,28 @@ def enumerate_job(
     """
     ctx = _search_context(c)
     depth = job_depth(c) if depth is None else depth
+    orbit = ctx.orbit
     enc = ctx.high
     counts = ctx.base
     chosen: list[int] = []
     present = 0
     viable = (1 << ctx.size) - 1
+    lower = 0
     for i in range(depth):
         if not job >> i & 1:
             continue
         if not viable >> i & 1:
             return 0
-        enc += ctx.steps[i]
-        if enc & ctx.high != ctx.high:
+        orbit, enc = _accept(ctx, orbit, enc, lower, i)
+        if enc & orbit[2] != orbit[2]:
             return 0
         viable = _filter_viable(ctx, viable, i, present)
         present |= 1 << i
         chosen.append(i)
         counts += ctx.cols[i]
+        lower = ctx.lower[i]
     # the job decided every candidate below depth; those it left out stay out
-    return _walk_desc(ctx, visit, present, viable >> depth << depth, enc, chosen, counts)
+    return _walk_desc(ctx, visit, present, viable >> depth << depth, enc, chosen, counts, orbit, lower)
 
 
 def _job_keys(payload: tuple) -> list[bytes]:

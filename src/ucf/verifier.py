@@ -45,6 +45,7 @@ from .decomposition import (
 )
 from .enumeration import (
     EnumerationConstraints,
+    candidate_order,
     ensure_enumerable,
     enumerate_job,
     job_depth,
@@ -143,7 +144,7 @@ class VerificationReport:
         out = self.body_dict()
         out["wall_time"] = self.wall_time
         out["workers"] = self.workers
-        out["order"] = "desc"
+        out["order"] = candidate_order(self.constraints)
         return out
 
     def to_json(self) -> str:
@@ -198,8 +199,8 @@ def _header_line(header: dict) -> str:
 
 
 def _checkpoint_header(c: EnumerationConstraints, checks: Sequence[str]) -> dict:
-    # fixed "order"/"lemma_every": old checkpoints resume; an "asc" or sampled one is another campaign
-    return {**asdict(c), "order": "desc", "depth": job_depth(c), "checks": list(checks), "lemma_every": 1}
+    # old labelled checkpoints resume; "asc", sampled or "desc" up-to-iso ones are other campaigns
+    return {**asdict(c), "order": candidate_order(c), "depth": job_depth(c), "checks": list(checks), "lemma_every": 1}
 
 
 def _checkpoint_json(path: str, lineno: int, text: str):

@@ -59,7 +59,7 @@ def test_criterion_1_main_theorem_exhaustive_n6_t3(tmp_path, interrupt_at_job):
     emptyset, M_6 in F and T(F) = 3 is visited, with zero failures of
     the at-least-three-abundant-elements statement.  The run is
     interrupted at its middle job and resumed from its checkpoint to
-    prove resumability; a single core finished it in 2.0 to 2.4 s in
+    prove resumability; a single core finished it in 1.5 to 1.7 s in
     three runs on a shared 2-vCPU Intel Xeon VM (Python 3.11.7), far
     inside the 8-worker hour."""
     c = EnumerationConstraints(6, 3, up_to_iso=True)

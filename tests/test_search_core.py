@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import ucf
 import ucf.enumeration as enumeration
 import ucf.verifier as verifier
-from oracles import asc_search, asc_walk, mask_lanes, relabel_mask
+from oracles import asc_search, asc_walk, relabel_mask
 from ucf import (
     CHECK_NAMES,
     EnumerationConstraints,
@@ -150,11 +150,11 @@ class TestCounters:
         assert sorted(f.members for f in families) == sorted(walk_counters(c, "desc"))
 
 
-def plain_canonical(n: int, encoded: list[int]) -> bool:
-    """The identity attains the orbit maximum of sum(2^mask)."""
-    identity = sum(2**e for e in encoded)
+def plain_canonical(n: int, members: list[int], encode) -> bool:
+    """The identity attains the orbit maximum of sum(2^encode(mask))."""
+    identity = sum(2 ** encode(m) for m in members)
     return all(
-        identity >= sum(2 ** relabel_mask(e, perm) for e in encoded)
+        identity >= sum(2 ** encode(relabel_mask(m, perm)) for m in members)
         for perm in itertools.permutations(range(n))
     )
 
@@ -173,31 +173,32 @@ class TestPackedOrbitTest:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(4, 6), st.integers(1, 3), st.sampled_from(["desc", "asc"]), st.data())
     def test_matches_plain_permutation_scan(self, n, t, order, data):
-        # desc: the rank-encoded lanes of the search; at t >= 2 the pool
-        # skips masks, so ranks differ from masks.  asc: the mask-encoded
-        # lanes of the ascending walk of tests/oracles.py
+        # desc: the rank-encoded lanes of the search, rank being the
+        # size-major order (|mask|, mask), so ranks differ from masks.
+        # asc: the mask-encoded lanes of the ascending walk of tests/oracles.py
         if order == "desc":
             ctx = enumeration._search_context(EnumerationConstraints(n, t, up_to_iso=True))
+            encode = {mask: len(ctx.pool) - 1 - i for i, mask in enumerate(ctx.pool)}.__getitem__
         else:
             ctx = asc_search(n, t)
+            encode = lambda mask: ctx.full ^ mask  # noqa: E731
         chosen = sorted(data.draw(st.sets(st.integers(0, len(ctx.pool) - 1), max_size=10)))
-        encode = (lambda mask: mask) if order == "desc" else (lambda mask: ctx.full ^ mask)
 
         def packed(positions) -> bool:
             enc = ctx.high + sum(ctx.steps[p] for p in positions)
             return enc & ctx.high == ctx.high
 
-        encoded = [encode(ctx.pool[p]) for p in chosen]
-        assert packed(chosen) == plain_canonical(n, encoded)
+        members = [ctx.pool[p] for p in chosen]
+        assert packed(chosen) == plain_canonical(n, members, encode)
         # the orbit maximum of the same member set passes both tests
         best = max(
             itertools.permutations(range(n)),
-            key=lambda perm: sum(2 ** relabel_mask(e, perm) for e in encoded),
+            key=lambda perm: sum(2 ** encode(relabel_mask(m, perm)) for m in members),
         )
         pos = {mask: i for i, mask in enumerate(ctx.pool)}
-        image = [pos[relabel_mask(ctx.pool[p], best)] for p in chosen]
+        image = [pos[relabel_mask(m, best)] for m in members]
         assert packed(image)
-        assert plain_canonical(n, [encode(ctx.pool[p]) for p in image])
+        assert plain_canonical(n, [ctx.pool[p] for p in image], encode)
 
     def test_lanes_are_one_bit_wider_than_the_pool_in_whole_bytes(self):
         # 41 candidates at t=3 fit 6-byte lanes, 57 at t=2 fit 8-byte lanes
@@ -207,25 +208,64 @@ class TestPackedOrbitTest:
 
     @pytest.mark.parametrize("n, t", [(4, 1), (4, 2), (5, 1), (5, 2), (5, 3), (6, 4)])
     def test_rank_lanes_visit_the_mask_lanes_nodes(self, monkeypatch, n, t):
-        # same jobs, same nodes in the same order as full-width lanes that
-        # encode each member as 2^mask
+        # the rank lanes cut to the stabilizer's below each level visit the
+        # same jobs, and the same nodes in the same order, as all n! lanes
+        # kept to the end; a context with no lower levels never switches
         c = EnumerationConstraints(n, t, up_to_iso=True)
-        ranked = enumeration._search_context(c)
-        steps, high = mask_lanes(n, ranked.pool)
-        assert high != ranked.high
+        switching = enumeration._search_context(c)
+        stabilizer = enumeration._stabilizer
+        switches = []
+
+        def counted(*args):
+            switches.append(args)
+            return stabilizer(*args)
+
+        monkeypatch.setattr(enumeration, "_stabilizer", counted)
         expected = node_stream(c)
-        masked = dataclasses.replace(ranked, steps=steps, high=high)
-        monkeypatch.setattr(enumeration, "_search_context", lambda constraints: masked)
+        switched = len(switches)
+        assert switched
+        full = dataclasses.replace(switching, lower=(0,) * switching.size)
+        monkeypatch.setattr(enumeration, "_search_context", lambda constraints: full)
         assert node_stream(c) == expected
+        assert len(switches) == switched
+
+    @pytest.mark.parametrize("n, t", [(4, 1), (4, 2), (5, 1), (5, 2), (5, 3), (6, 4)])
+    def test_switches_keep_the_stabilizer_lanes(self, monkeypatch, n, t):
+        # at every switch of one serial walk (a job at depth 0, whose one
+        # chosen list is the switching node's), the lanes kept are exactly
+        # the permutations that map the chosen family onto itself
+        c = EnumerationConstraints(n, t, up_to_iso=True)
+        pool = enumeration._search_context(c).pool
+        perms = list(itertools.permutations(range(n)))
+        image = {(m, i): relabel_mask(m, perm) for m in pool for i, perm in enumerate(perms)}
+        stabilizer = enumeration._stabilizer
+        walk: list[list[int]] = []
+        switches = []
+
+        def recorded(*args):
+            orbit = stabilizer(*args)
+            switches.append((tuple(walk[0]), orbit[0]))
+            return orbit
+
+        monkeypatch.setattr(enumeration, "_stabilizer", recorded)
+        enumerate_job(c, 0, lambda chosen, counts: walk or walk.append(chosen), depth=0)
+        assert switches
+        for chosen, kept in switches:
+            family = {pool[p] for p in chosen}
+            assert kept == tuple(i for i in range(len(perms)) if {image[m, i] for m in family} == family), chosen
 
     def test_labelled_context_builds_no_lanes(self, monkeypatch):
         def no_lanes(*args):
             raise AssertionError("a labelled context built orbit lanes")
 
-        monkeypatch.setattr(enumeration, "_orbit_lanes", no_lanes)
-        ctx = enumeration._search_context.__wrapped__(EnumerationConstraints(5, 2))
+        monkeypatch.setattr(enumeration, "_orbit", no_lanes)
+        monkeypatch.setattr(enumeration, "_stabilizer", no_lanes)
+        c = EnumerationConstraints(5, 2)
+        ctx = enumeration._search_context.__wrapped__(c)
         assert ctx.high == 0
-        assert ctx.steps == (0,) * ctx.size
+        assert ctx.steps == ctx.lower == (0,) * ctx.size
+        monkeypatch.setattr(enumeration, "_search_context", lambda constraints: ctx)
+        assert enumerate_families(c) == 241805
 
 
 def module_loaded(module: str, code: str) -> bool:
@@ -254,7 +294,7 @@ def test_context_and_labelled_listing_run_without_numpy():
         "numpy",
         "import sys, ucf.cli\n"
         "from ucf.enumeration import EnumerationConstraints, job_depth\n"
-        "assert job_depth(EnumerationConstraints(6, 3, up_to_iso=True)) == 14"
+        "assert job_depth(EnumerationConstraints(6, 3, up_to_iso=True)) == 16"
     )
     assert not module_loaded(
         "numpy",
@@ -279,5 +319,5 @@ def test_context_builds_without_the_pool_modules():
             module,
             "import sys, ucf.cli\n"
             "from ucf.enumeration import EnumerationConstraints, job_depth\n"
-            "assert job_depth(EnumerationConstraints(6, 3, up_to_iso=True)) == 14",
+            "assert job_depth(EnumerationConstraints(6, 3, up_to_iso=True)) == 16",
         )

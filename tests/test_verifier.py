@@ -50,7 +50,8 @@ OLD_N4T2_CHECKPOINT = (
 
 # the first twelve jobs of a run_campaign(EnumerationConstraints(6, 4,
 # up_to_iso=True), checkpoint=...) stopped after them, as written while
-# every campaign split at depth 10 and recorded its empty jobs too
+# every campaign split at depth 10, recorded its empty jobs too and
+# walked up-to-iso candidates in descending mask order
 OLD_N6T4_ISO_CHECKPOINT = (
     '# campaign {"checks": ["frankl", "s_frankl"], "depth": 10, "lemma_every": 1, "n": 6, '
     '"order": "desc", "require_universe": true, "t": 4, "up_to_iso": true}\n'
@@ -66,6 +67,26 @@ OLD_N6T4_ISO_CHECKPOINT = (
     '# agg {"by_shape": {}, "by_t": {}, "count": 0, "failures": [], "job": 9}\n'
     '# agg {"by_shape": {}, "by_t": {}, "count": 0, "failures": [], "job": 10}\n'
     '# agg {"by_shape": {}, "by_t": {"4": 1, "5": 1}, "count": 2, "failures": [], "job": 11}\n'
+)
+
+
+# the first twelve nonempty jobs of the same campaign split at depth 10,
+# as this version writes them: up-to-iso job ids name size-major prefixes
+N6T4_ISO_DEPTH10_CHECKPOINT = (
+    '# campaign {"checks": ["frankl", "s_frankl"], "depth": 10, "lemma_every": 1, "n": 6, '
+    '"order": "levels", "require_universe": true, "t": 4, "up_to_iso": true}\n'
+    '# agg {"by_shape": {}, "by_t": {"6": 1}, "count": 1, "failures": [], "job": 0}\n'
+    '# agg {"by_shape": {}, "by_t": {"5": 1}, "count": 1, "failures": [], "job": 1}\n'
+    '# agg {"by_shape": {}, "by_t": {"4": 2, "5": 1}, "count": 3, "failures": [], "job": 3}\n'
+    '# agg {"by_shape": {}, "by_t": {"4": 1, "5": 1}, "count": 2, "failures": [], "job": 7}\n'
+    '# agg {"by_shape": {}, "by_t": {"4": 4, "5": 1}, "count": 5, "failures": [], "job": 15}\n'
+    '# agg {"by_shape": {}, "by_t": {"4": 1, "5": 1}, "count": 2, "failures": [], "job": 31}\n'
+    '# agg {"by_shape": {}, "by_t": {"5": 1}, "count": 1, "failures": [], "job": 63}\n'
+    '# agg {"by_shape": {}, "by_t": {"4": 3}, "count": 3, "failures": [], "job": 64}\n'
+    '# agg {"by_shape": {}, "by_t": {"4": 3}, "count": 3, "failures": [], "job": 65}\n'
+    '# agg {"by_shape": {}, "by_t": {"4": 3}, "count": 3, "failures": [], "job": 67}\n'
+    '# agg {"by_shape": {}, "by_t": {"4": 6}, "count": 6, "failures": [], "job": 71}\n'
+    '# agg {"by_shape": {}, "by_t": {"4": 15}, "count": 15, "failures": [], "job": 79}\n'
 )
 
 
@@ -165,6 +186,14 @@ class TestReportShape:
         full = report.to_dict()
         assert full["workers"] == 1 and full["order"] == "desc"
         assert isinstance(full["wall_time"], float)
+
+    def test_order_names_the_candidate_order(self, capsys):
+        # up-to-iso walks decide candidates size-major; the summary line says the same
+        iso = EnumerationConstraints(3, 1, up_to_iso=True)
+        assert run_campaign(iso).to_dict()["order"] == "levels"
+        for argv, order in ((["--up-to-iso"], "levels"), ([], "desc")):
+            assert main(["verify", "--n", "3", "--t", "1", "--workers", "1", *argv]) == 0
+            assert f"order: {order}\n" in capsys.readouterr().out
 
     def test_to_json_round_trips(self):
         report = run_campaign(N3T1)
@@ -380,16 +409,16 @@ run_campaign(EnumerationConstraints(4, 1), workers=2)
 
     def test_shallower_checkpoint_resumes_at_its_own_depth(self, tmp_path, monkeypatch):
         c = EnumerationConstraints(6, 4, up_to_iso=True)
-        assert job_depth(c) == 14
+        assert job_depth(c) == 15
         ck = tmp_path / "run.ck"
-        ck.write_text(OLD_N6T4_ISO_CHECKPOINT)
+        ck.write_text(N6T4_ISO_DEPTH10_CHECKPOINT)
         resumed = run_campaign(c, checkpoint=str(ck))
         assert resumed.body_bytes() == run_campaign(c).body_bytes()
         text = ck.read_text()
-        assert text.startswith(OLD_N6T4_ISO_CHECKPOINT)
-        # the old file recorded jobs 0..11 of depth 10; the rest are its nonempty ones
-        added = [json.loads(ln[len("# agg "):])["job"] for ln in text[len(OLD_N6T4_ISO_CHECKPOINT):].splitlines()]
-        assert added == [j for j in subtree_jobs(c, 10) if j > 11]
+        assert text.startswith(N6T4_ISO_DEPTH10_CHECKPOINT)
+        # the file recorded the nonempty jobs of depth 10 up to job 79; the rest follow
+        added = [json.loads(ln[len("# agg "):])["job"] for ln in text[len(N6T4_ISO_DEPTH10_CHECKPOINT):].splitlines()]
+        assert added == [j for j in subtree_jobs(c, 10) if j > 79]
 
         def no_job(*args, **kwargs):
             raise AssertionError("a job of a finished checkpoint ran again")
@@ -401,15 +430,27 @@ run_campaign(EnumerationConstraints(4, 1), workers=2)
         c = EnumerationConstraints(6, 4, up_to_iso=True)
         ck = tmp_path / "run.ck"
         args = ["verify", "--n", "6", "--t", "4", "--up-to-iso", "--workers", "1", "--checkpoint", str(ck)]
-        depths = ("15", "-1", "10.0", '"10"', "true", "null")
-        texts = [OLD_N6T4_ISO_CHECKPOINT.replace('"depth": 10', f'"depth": {depth}') for depth in depths]
-        for text in [*texts, OLD_N6T4_ISO_CHECKPOINT.replace('"depth": 10, ', "")]:
+        depths = ("16", "-1", "10.0", '"10"', "true", "null")
+        texts = [N6T4_ISO_DEPTH10_CHECKPOINT.replace('"depth": 10', f'"depth": {depth}') for depth in depths]
+        for text in [*texts, N6T4_ISO_DEPTH10_CHECKPOINT.replace('"depth": 10, ', "")]:
             ck.write_text(text)
             with pytest.raises(PreconditionViolation, match="line 1: depth"):
                 run_campaign(c, checkpoint=str(ck))
             assert main(args) == 2
             assert "line 1: depth" in capsys.readouterr().err
             assert ck.read_text() == text
+
+    def test_descending_iso_checkpoint_refused(self, tmp_path, capsys):
+        # its job ids name prefixes of another candidate order, so resuming
+        # it would mix two partitions of the search
+        c = EnumerationConstraints(6, 4, up_to_iso=True)
+        ck = tmp_path / "run.ck"
+        ck.write_text(OLD_N6T4_ISO_CHECKPOINT)
+        with pytest.raises(PreconditionViolation, match="different campaign"):
+            run_campaign(c, checkpoint=str(ck))
+        assert main(["verify", "--n", "6", "--t", "4", "--up-to-iso", "--workers", "1", "--checkpoint", str(ck)]) == 2
+        assert "different campaign" in capsys.readouterr().err
+        assert ck.read_text() == OLD_N6T4_ISO_CHECKPOINT
 
     def test_headerless_nonempty_checkpoint_rejected(self, tmp_path):
         ck = tmp_path / "run.ck"
