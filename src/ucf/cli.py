@@ -21,7 +21,7 @@ from .enumeration import (
     candidate_order,
     enumerate_families,
 )
-from .errors import ParseError, UcfError
+from .errors import ParseError, PreconditionViolation, UcfError
 from .fileformat import format_family, parse_family
 from .verifier import CHECK_NAMES, check_single, run_campaign
 
@@ -67,7 +67,10 @@ def _resolve_workers(args) -> int:
         return args.workers
     env = os.environ.get("UCF_WORKERS")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise PreconditionViolation(f"UCF_WORKERS must be an int, got {env!r}") from None
     return os.cpu_count() or 1
 
 

@@ -49,10 +49,10 @@ above its bias then stays above: the family beats its image at a rank
 of those sizes, and every later member, and its image, ranks below all
 of them.  So only the lanes at exactly their bias go on, restarted at
 bias: the permutations that fix the family setwise (about 12 of 720 at
-n=6 t=3).  enumerate_job's replay and subtree_jobs switch at the same
-children, so a job starts with its prefix's lanes.  A labelled context
-has no lanes and no lower levels: every step and the bias are 0, so
-the same accept step passes every node and both modes share one walk.
+n=6 t=3).  enumerate_job's replay switches at the same children, so a
+job starts with its prefix's lanes.  A labelled context has no lanes
+and no lower levels: every step and the bias are 0, so the same accept
+step passes every node and both modes share one walk.
 
 Next to the chosen candidates the walk carries one int of counters
 that do not change under relabeling, one byte per lane: per-element
@@ -339,13 +339,13 @@ def node_family(c: EnumerationConstraints, chosen: Sequence[int]) -> SetFamily:
     return family
 
 
-def _key_emit(c: EnumerationConstraints, job: int, depth: int, visit: Visit) -> CounterVisit:
-    """A counter visit for enumerate_job(c, job, depth=depth) that hands
-    visit each node's key, bytes(node_family(c, chosen).members).
+def _key_emit(c: EnumerationConstraints, job: int, visit: Visit) -> CounterVisit:
+    """A counter visit for enumerate_job(c, job) that hands visit each
+    node's key, bytes(node_family(c, chosen).members).
 
     In preorder, lanes[d - 1] holds a depth-d node's parent's complement
-    encodings when it is visited.  The job's replay visits its prefix of
-    k members first, so lanes[1..k-1] are seeded from that prefix;
+    encodings when it is visited.  The job's replay visits its prefix,
+    the k set bits of job, first, so lanes[1..k-1] are seeded from it;
     lanes[0], all 0, is the root's and keeps the identity.
     """
     ctx = _search_context(c)
@@ -359,7 +359,7 @@ def _key_emit(c: EnumerationConstraints, job: int, depth: int, visit: Visit) -> 
     rows = [powers[m] for m in pool]
     image_rows = [images[m] for m in pool]
     lanes = [np.zeros(powers.shape[1], dtype=np.uint64) for _ in range(ctx.size + 1)]
-    prefix = [i for i in range(depth) if job >> i & 1]
+    prefix = [i for i in range(job.bit_length()) if job >> i & 1]
     for d, p in enumerate(prefix[:-1], start=1):
         np.bitwise_or(lanes[d - 1], rows[p], out=lanes[d])
 
@@ -392,15 +392,6 @@ def _stabilizer(ctx: _Search, orbit: _Orbit, enc: int) -> _Orbit:
     ahead = (enc - (high >> (8 * width - 1))) & high
     at_bias = (ahead ^ high).to_bytes(len(lanes) * width, "little")[width - 1 :: width]
     return _orbit(ctx.n, ctx.pool, tuple(itertools.compress(lanes, at_bias)))
-
-
-def _accept(ctx: _Search, orbit: _Orbit, enc: int, lower: int, p: int) -> tuple[_Orbit, int]:
-    """The orbit test and enc after accepting p below a node with lower (see
-    _walk_desc); enc keeps every bias bit iff the child is canonical."""
-    if lower >> p & 1:
-        orbit = _stabilizer(ctx, orbit, enc)
-        enc = orbit[2]
-    return orbit, enc + orbit[1][p]
 
 
 def _walk_desc(
@@ -471,10 +462,9 @@ def enumerate_families(
     if visit is None:
         ctx = _search_context(c)
         return _walk_desc(ctx, None, 0, (1 << ctx.size) - 1, ctx.high, [], ctx.base, ctx.orbit, 0)
-    depth = job_depth(c)
     count = 0
     with ExitStack() as stack:
-        for keys in map_jobs(stack, _job_keys, [(c, depth, job) for job in subtree_jobs(c, depth)], workers):
+        for keys in map_jobs(stack, _job_keys, [(c, job) for job in subtree_jobs(c)], workers):
             count += len(keys)
             for key in keys:
                 visit(key)
@@ -492,44 +482,35 @@ def job_depth(c: EnumerationConstraints) -> int:
 
     Up-to-iso campaigns split deeper: canonicity prunes most prefixes,
     so the extra jobs are mostly empty ones, which subtree_jobs drops.
+    A checkpoint's header names the depth, and it resumes only at it.
     """
     return max(0, min(16 if c.up_to_iso else 10, _search_context(c).size - 6))
 
 
-def subtree_jobs(c: EnumerationConstraints, depth: int | None = None) -> list[int]:
-    """The nonempty job ids at depth (job_depth(c) by default), increasing.
+def subtree_jobs(c: EnumerationConstraints) -> list[int]:
+    """The nonempty job ids, increasing.
 
-    Job j fixes candidate i < depth as chosen iff bit i of j is set.  A
-    job is nonempty iff its replay in enumerate_job passes, because
-    every accepted prefix is itself a family; so this decides the first
-    depth candidates alone, where skipping one always passes and
-    choosing one applies the replay's viable and orbit tests.
+    Job j fixes candidate i < job_depth(c) as chosen iff bit i of j is
+    set.  Every accepted prefix is itself a family, so a job is nonempty
+    iff its prefix is a node of the walk: these are the ids of the nodes
+    of the walk over the first job_depth(c) candidates alone.
     """
     ctx = _search_context(c)
-    # (job, present, viable, enc, orbit) of every prefix that passes so far
-    prefixes = [(0, 0, (1 << ctx.size) - 1, ctx.high, ctx.orbit)]
-    for i in range(job_depth(c) if depth is None else depth):
-        for job, present, viable, enc, orbit in prefixes[:]:
-            if viable >> i & 1:
-                orbit, enc = _accept(ctx, orbit, enc, ctx.lower[job.bit_length() - 1] if job else 0, i)
-                if enc & orbit[2] == orbit[2]:
-                    viable = _filter_viable(ctx, viable, i, present)
-                    prefixes.append((job | 1 << i, present | 1 << i, viable, enc, orbit))
-    return sorted(job for job, *_ in prefixes)
+    jobs: list[int] = []
+
+    def visit(chosen: list[int], counts: int) -> None:
+        jobs.append(sum(1 << p for p in chosen))
+
+    _walk_desc(ctx, visit, 0, (1 << job_depth(c)) - 1, ctx.high, [], ctx.base, ctx.orbit, 0)
+    return sorted(jobs)
 
 
-def enumerate_job(
-    c: EnumerationConstraints,
-    job: int,
-    visit: CounterVisit | None = None,
-    *,
-    depth: int | None = None,
-) -> int:
-    """Enumerate one subtree; summing over subtree_jobs(c, depth) equals
-    the full count, for any depth (job_depth(c) by default).
+def enumerate_job(c: EnumerationConstraints, job: int, visit: CounterVisit | None = None) -> int:
+    """Enumerate one subtree; summing over subtree_jobs(c) equals the
+    full count.
 
-    Replays the job's fixed decisions with the same closure and
-    canonicity tests the full search applies, so invalid assignments
+    Replays the job's first job_depth(c) decisions with the same closure
+    and canonicity tests the full search applies, so invalid assignments
     cost nothing and no family is visited by two different jobs.  The
     visit gets each family's chosen positions and packed counters, and
     no family is built (node_family builds one).  The census-scale guard
@@ -537,7 +518,7 @@ def enumerate_job(
     its first job.
     """
     ctx = _search_context(c)
-    depth = job_depth(c) if depth is None else depth
+    depth = job_depth(c)
     orbit = ctx.orbit
     enc = ctx.high
     counts = ctx.base
@@ -550,7 +531,10 @@ def enumerate_job(
             continue
         if not viable >> i & 1:
             return 0
-        orbit, enc = _accept(ctx, orbit, enc, lower, i)
+        if lower >> i & 1:  # the switch of _walk_desc
+            orbit = _stabilizer(ctx, orbit, enc)
+            enc = orbit[2]
+        enc += orbit[1][i]
         if enc & orbit[2] != orbit[2]:
             return 0
         viable = _filter_viable(ctx, viable, i, present)
@@ -563,10 +547,10 @@ def enumerate_job(
 
 
 def _job_keys(payload: tuple) -> list[bytes]:
-    """The sorted keys of one job's families; payload is (c, depth, job)."""
-    c, depth, job = payload
+    """The sorted keys of one job's families; payload is (c, job)."""
+    c, job = payload
     keys: list[bytes] = []
-    enumerate_job(c, job, _key_emit(c, job, depth, keys.append), depth=depth)
+    enumerate_job(c, job, _key_emit(c, job, keys.append))
     keys.sort()
     return keys
 

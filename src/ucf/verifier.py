@@ -164,7 +164,7 @@ def _job_worker(payload: tuple) -> dict:
     SetFamily is built only for a family that fails a check, and it is
     the same canonical representative enumerate_families visits.
     """
-    c, depth, failing, job = payload
+    c, failing, job = payload
     n = c.n
     shape_mode = n == 6 and c.t == 3
     t_counts = [0] * (n + 1)
@@ -181,8 +181,7 @@ def _job_worker(payload: tuple) -> dict:
             family = node_family(c, chosen)
             failures.extend(_failure_record(name, family) for name in fails)
 
-    # depth by keyword: wrappers of enumerate_job may take (c, job, visit, **kwargs)
-    count = enumerate_job(c, job, visit, depth=depth)
+    count = enumerate_job(c, job, visit)
     if count != sum(t_counts):
         raise AssertionError(f"visit stream ({sum(t_counts)}) disagrees with count ({count})")
     return {
@@ -228,11 +227,12 @@ def _is_failure(value, header: dict) -> bool:
         return False
 
 
-def _record_problem(record, header: dict, depth: int) -> str | None:
-    """What makes a job record unusable in the campaign of header, split at depth, or None."""
+def _record_problem(record, header: dict) -> str | None:
+    """What makes a job record unusable in the campaign of header, or None."""
     if not isinstance(record, dict):
         return "a job record must be an object"
     job, count, by_t, by_shape, failures = map(record.get, ("job", "count", "by_t", "by_shape", "failures"))
+    depth = header["depth"]
     if type(job) is not int or not 0 <= job < 1 << depth:
         return f"job {job!r} outside 0..{(1 << depth) - 1}"
     if not _is_count(count):
@@ -251,22 +251,19 @@ def _record_problem(record, header: dict, depth: int) -> str | None:
     return None
 
 
-def _load_checkpoint(path: str, header: dict) -> tuple[dict[int, dict], int, int]:
+def _load_checkpoint(path: str, header: dict) -> tuple[dict[int, dict], int]:
     """Completed job records from an earlier run of the same campaign,
-    the length of the file's prefix that holds whole lines, and the job
-    depth the records were split at.
+    and the length of the file's prefix that holds whole lines.
 
-    The first line is the campaign header.  Its depth may be any int
-    from 0 up to header's, the depth of a new checkpoint, so a file
-    written with a shallower split resumes at its own depth.  Every later
-    line is a `# agg` job record or a legacy `subtree=` line, which is
-    not read.  A run stopped in the middle of a write leaves an
-    unterminated last line; it is not read, and the job it belonged to
-    runs again.  Any other line raises PreconditionViolation naming it.
+    The first line is the campaign header, which must equal header in
+    every field, the job depth included.  Every later line is a `# agg`
+    job record or a legacy `subtree=` line, which is not read.  A run
+    stopped in the middle of a write leaves an unterminated last line;
+    it is not read, and the job it belonged to runs again.  Any other
+    line raises PreconditionViolation naming it.
     """
-    depth = header["depth"]
     if not os.path.exists(path):
-        return {}, 0, depth
+        return {}, 0
     with open(path, "rb") as fh:
         data = fh.read()
     keep = data.rfind(b"\n") + 1
@@ -278,18 +275,13 @@ def _load_checkpoint(path: str, header: dict) -> tuple[dict[int, dict], int, int
         line = raw.decode("utf-8", errors="replace")
         if lineno == 1:
             stored = _checkpoint_json(path, lineno, line[len("# campaign "):])
-            if not isinstance(stored, dict) or {**stored, "depth": header["depth"]} != header:
+            if stored != header:
                 raise PreconditionViolation(
-                    f"checkpoint {path} belongs to a different campaign: {stored} != {header}"
-                )
-            depth = stored.get("depth")
-            if type(depth) is not int or not 0 <= depth <= header["depth"]:
-                raise PreconditionViolation(
-                    f"checkpoint {path} line 1: depth {depth!r} is not an int in 0..{header['depth']}"
+                    f"checkpoint {path} line 1: the header of a different campaign: {stored} != {header}"
                 )
         elif line.startswith("# agg "):
             record = _checkpoint_json(path, lineno, line[len("# agg "):])
-            problem = _record_problem(record, header, depth)
+            problem = _record_problem(record, header)
             if problem:
                 raise PreconditionViolation(f"checkpoint {path} line {lineno}: {problem}")
             job = record["job"]
@@ -300,7 +292,7 @@ def _load_checkpoint(path: str, header: dict) -> tuple[dict[int, dict], int, int
             raise PreconditionViolation(
                 f"checkpoint {path} line {lineno}: {line!r} is neither a job record nor a legacy subtree= line"
             )
-    return done, keep, depth
+    return done, keep
 
 
 def _dump_counterexample(directory: str, failure: dict) -> str:
@@ -332,8 +324,8 @@ def run_campaign(
     to run.  With a checkpoint path, each job is recorded when its
     result comes back and skipped on the next run with the same path, so
     a run that was interrupted (killed, torn mid-write, or stopped by an
-    exception in a job) resumes to the same report body, split at the
-    job depth its checkpoint header names.  Records come back in job
+    exception in a job) resumes to the same report body; its header must
+    name this campaign and its job_depth(c).  Records come back in job
     order, from a pool a chunk at a time (see map_jobs), and a dead pool
     worker ends the run with BrokenProcessPool.  A job's counterexample
     dumps go out before its checkpoint record.
@@ -350,10 +342,10 @@ def run_campaign(
     ensure_enumerable(c, unbounded)
     start = time.perf_counter()
     header = _checkpoint_header(c, checks)
-    done, keep, depth = _load_checkpoint(checkpoint, header) if checkpoint else ({}, 0, header["depth"])
-    jobs = subtree_jobs(c, depth)
+    done, keep = _load_checkpoint(checkpoint, header) if checkpoint else ({}, 0)
+    jobs = subtree_jobs(c)
 
-    payloads = [(c, depth, failing, job) for job in jobs if job not in done]
+    payloads = [(c, failing, job) for job in jobs if job not in done]
     with ExitStack() as stack:
         if checkpoint:
             ck_fh = stack.enter_context(open(checkpoint, "a", encoding="utf-8"))

@@ -124,6 +124,11 @@ class TestEnumerate:
         assert main(["enumerate", "--n", "4", "--t", "2"]) == 2
         assert "workers must be at least 1" in capsys.readouterr().err
 
+    def test_bad_workers_env_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("UCF_WORKERS", "x")
+        assert main(["enumerate", "--n", "4", "--t", "2"]) == 2
+        assert capsys.readouterr().err == "error: UCF_WORKERS must be an int, got 'x'\n"
+
     def test_census_scale_needs_unbounded(self, capsys):
         assert main(["enumerate", "--n", "6", "--t", "2"]) == 2
         assert "unbounded" in capsys.readouterr().err
@@ -187,6 +192,11 @@ class TestVerify:
         monkeypatch.setenv("UCF_WORKERS", "0")
         assert main(["verify", "--n", "3", "--t", "1"]) == 2
         assert "workers must be at least 1" in capsys.readouterr().err
+
+    def test_bad_workers_env_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("UCF_WORKERS", "x")
+        assert main(["verify", "--n", "4", "--t", "2"]) == 2
+        assert capsys.readouterr().err == "error: UCF_WORKERS must be an int, got 'x'\n"
 
     def test_out_of_envelope(self, capsys):
         assert main(["verify", "--n", "7", "--t", "3"]) == 2

@@ -212,17 +212,16 @@ class TestEnumerateFamilies:
         # a job's replay visits its prefix node first, so the per-depth
         # lanes of an up-to-iso emit are seeded from the job's prefix
         c = EnumerationConstraints(n, t, up_to_iso=iso)
-        depth = job_depth(c)
         nodes = 0
         for job in subtree_jobs(c):
             keys: list[bytes] = []
-            emit = enumeration._key_emit(c, job, depth, keys.append)
+            emit = enumeration._key_emit(c, job, keys.append)
 
             def checked(chosen: list[int], counts: int) -> None:
                 emit(chosen, counts)
                 assert keys[-1] == bytes(node_family(c, chosen).members), (job, chosen)
 
-            nodes += enumerate_job(c, job, checked, depth=depth)
+            nodes += enumerate_job(c, job, checked)
         assert nodes == enumerate_families(c)
 
     @pytest.mark.parametrize("n,t,iso", [(5, 2, False), (5, 3, True)])
@@ -293,16 +292,21 @@ class TestJobPartition:
         assert total == len(serial)
         assert sorted(seen) == sorted(f.members for f in serial)
 
-    @pytest.mark.parametrize("n,t,iso", [(4, 1, False), (4, 1, True), (5, 2, True), (6, 4, True)])
+    @pytest.mark.parametrize(
+        "n,t,iso", [(4, 1, False), (4, 1, True), (5, 2, False), (5, 2, True), (6, 4, True), (6, 3, True)]
+    )
     def test_subtree_jobs_are_the_nonempty_ids(self, n, t, iso):
+        # the definition, by brute force over every id: 1,024 at n=5 t=2
+        # labelled, 65,536 at the flagship
         c = EnumerationConstraints(n, t, up_to_iso=iso)
         assert subtree_jobs(c) == [j for j in range(1 << job_depth(c)) if enumerate_job(c, j)]
 
-    def test_every_depth_partitions_the_search(self):
-        # a checkpoint resumes at the depth it was split at
+    def test_every_depth_partitions_the_search(self, monkeypatch):
+        # the split is job_depth's alone; any depth partitions the walk
         c = EnumerationConstraints(5, 2, up_to_iso=True)
         for depth in (0, 5, 10, job_depth(c)):
-            assert sum(enumerate_job(c, j, depth=depth) for j in subtree_jobs(c, depth)) == 2900
+            monkeypatch.setattr(enumeration, "job_depth", lambda c: depth)
+            assert sum(enumerate_job(c, j) for j in subtree_jobs(c)) == 2900
 
 
 class TestBruteForceOracle:

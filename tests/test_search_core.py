@@ -231,9 +231,9 @@ class TestPackedOrbitTest:
 
     @pytest.mark.parametrize("n, t", [(4, 1), (4, 2), (5, 1), (5, 2), (5, 3), (6, 4)])
     def test_switches_keep_the_stabilizer_lanes(self, monkeypatch, n, t):
-        # at every switch of one serial walk (a job at depth 0, whose one
-        # chosen list is the switching node's), the lanes kept are exactly
-        # the permutations that map the chosen family onto itself
+        # at every switch of one serial walk (job 0 with job_depth set to
+        # 0, whose one chosen list is the switching node's), the lanes kept
+        # are exactly the permutations that map the chosen family onto itself
         c = EnumerationConstraints(n, t, up_to_iso=True)
         pool = enumeration._search_context(c).pool
         perms = list(itertools.permutations(range(n)))
@@ -248,7 +248,8 @@ class TestPackedOrbitTest:
             return orbit
 
         monkeypatch.setattr(enumeration, "_stabilizer", recorded)
-        enumerate_job(c, 0, lambda chosen, counts: walk or walk.append(chosen), depth=0)
+        monkeypatch.setattr(enumeration, "job_depth", lambda c: 0)
+        enumerate_job(c, 0, lambda chosen, counts: walk or walk.append(chosen))
         assert switches
         for chosen, kept in switches:
             family = {pool[p] for p in chosen}

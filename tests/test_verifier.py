@@ -70,8 +70,9 @@ OLD_N6T4_ISO_CHECKPOINT = (
 )
 
 
-# the first twelve nonempty jobs of the same campaign split at depth 10,
-# as this version writes them: up-to-iso job ids name size-major prefixes
+# the first twelve nonempty jobs of the same campaign as it would split at
+# depth 10 in size-major order: no version wrote it, and a checkpoint
+# resumes only at job_depth(c), 15 here, so it is refused input
 N6T4_ISO_DEPTH10_CHECKPOINT = (
     '# campaign {"checks": ["frankl", "s_frankl"], "depth": 10, "lemma_every": 1, "n": 6, '
     '"order": "levels", "require_universe": true, "t": 4, "up_to_iso": true}\n'
@@ -117,7 +118,7 @@ class TestRunCampaign:
         # one subtree of the n=6, t=3 campaign exercises the shape
         # tally; the full campaign is covered by the acceptance suite
         c = EnumerationConstraints(6, 3, up_to_iso=True)
-        payload = (c, job_depth(c), verifier._failing(6, ("frankl", "s_frankl")), 0)
+        payload = (c, verifier._failing(6, ("frankl", "s_frankl")), 0)
         record = verifier._job_worker(payload)
         assert record["count"] > 0
         assert set(record["by_shape"]) <= set(SHAPE_TAGS)
@@ -407,37 +408,19 @@ run_campaign(EnumerationConstraints(4, 1), workers=2)
         assert all(r["count"] > 0 for r in records)
         assert '"count": 0' not in text
 
-    def test_shallower_checkpoint_resumes_at_its_own_depth(self, tmp_path, monkeypatch):
+    def test_header_depth_must_equal_job_depth(self, tmp_path, capsys):
         c = EnumerationConstraints(6, 4, up_to_iso=True)
         assert job_depth(c) == 15
         ck = tmp_path / "run.ck"
-        ck.write_text(N6T4_ISO_DEPTH10_CHECKPOINT)
-        resumed = run_campaign(c, checkpoint=str(ck))
-        assert resumed.body_bytes() == run_campaign(c).body_bytes()
-        text = ck.read_text()
-        assert text.startswith(N6T4_ISO_DEPTH10_CHECKPOINT)
-        # the file recorded the nonempty jobs of depth 10 up to job 79; the rest follow
-        added = [json.loads(ln[len("# agg "):])["job"] for ln in text[len(N6T4_ISO_DEPTH10_CHECKPOINT):].splitlines()]
-        assert added == [j for j in subtree_jobs(c, 10) if j > 79]
-
-        def no_job(*args, **kwargs):
-            raise AssertionError("a job of a finished checkpoint ran again")
-
-        monkeypatch.setattr(verifier, "enumerate_job", no_job)
-        assert run_campaign(c, checkpoint=str(ck)).body_bytes() == resumed.body_bytes()
-
-    def test_header_depth_must_be_an_int_up_to_job_depth(self, tmp_path, capsys):
-        c = EnumerationConstraints(6, 4, up_to_iso=True)
-        ck = tmp_path / "run.ck"
         args = ["verify", "--n", "6", "--t", "4", "--up-to-iso", "--workers", "1", "--checkpoint", str(ck)]
-        depths = ("16", "-1", "10.0", '"10"', "true", "null")
+        depths = ("10", "16", "-1", "10.0", '"15"', "true", "null")
         texts = [N6T4_ISO_DEPTH10_CHECKPOINT.replace('"depth": 10', f'"depth": {depth}') for depth in depths]
         for text in [*texts, N6T4_ISO_DEPTH10_CHECKPOINT.replace('"depth": 10, ', "")]:
             ck.write_text(text)
-            with pytest.raises(PreconditionViolation, match="line 1: depth"):
+            with pytest.raises(PreconditionViolation, match="line 1: the header of a different campaign"):
                 run_campaign(c, checkpoint=str(ck))
             assert main(args) == 2
-            assert "line 1: depth" in capsys.readouterr().err
+            assert "line 1: the header of a different campaign" in capsys.readouterr().err
             assert ck.read_text() == text
 
     def test_descending_iso_checkpoint_refused(self, tmp_path, capsys):
