@@ -60,9 +60,9 @@ frequencies, per-size member counts (T(F) is the smallest nonempty
 size) and the member count m.  Accepting a member adds its precomputed
 column.  ``split_counts`` reads them back together with T(F) and the
 number of abundant elements, the two values every check needs.
-``enumerate_job`` hands the visit the counters, so a campaign checks
-every family without building it; ``enumerate_families`` hands it each
-family's listing key, bytes(members), and builds no SetFamily either.
+``enumerate_job`` hands the visit the counters: a campaign tallies them
+and checks each distinct value once, building only failing families;
+``enumerate_families`` hands it keys, bytes(members), and builds none.
 
 The search keeps a different representative per orbit than the public
 canonical_form, which maximises sum(2^complement(mask)) over the orbit.

@@ -157,31 +157,41 @@ def _failing(n: int, checks: Sequence[str]) -> list[list[tuple[str, ...]]]:
 
 
 def _job_worker(payload: tuple) -> dict:
-    """One job's record, read off the walk's counters family by family.
+    """One job's record, read off a tally of the walk's packed counters.
 
-    The checks are pure functions of (T, abundant count), so run_campaign
-    tabulates their verdicts once, as _failing, and sends the table.  A
-    SetFamily is built only for a family that fails a check, and it is
-    the same canonical representative enumerate_families visits.
+    The walk only counts families per counter value; T, the shape and the
+    verdicts of run_campaign's _failing table are read once per distinct
+    value.  A job with a failing value walks again to build, in order, the
+    SetFamily enumerate_families visits for each family that fails.
     """
     c, failing, job = payload
     n = c.n
     shape_mode = n == 6 and c.t == 3
-    t_counts = [0] * (n + 1)
-    shape_counts = [0] * len(SHAPE_TAGS)
-    failures: list[dict] = []
+    tally: dict[int, int] = {}
 
     def visit(chosen: list[int], counts: int) -> None:
-        m, freq, levels, t, a = split_counts(n, counts)
-        t_counts[t] += 1
-        if shape_mode and t == 3:
-            shape_counts[2 * (levels >> 32 & 0xFF > 0) + (levels >> 40 & 0xFF > 0)] += 1
-        fails = failing[t][a]
-        if fails:
-            family = node_family(c, chosen)
-            failures.extend(_failure_record(name, family) for name in fails)
+        tally[counts] = tally.get(counts, 0) + 1
 
     count = enumerate_job(c, job, visit)
+    t_counts = [0] * (n + 1)
+    shape_counts = [0] * len(SHAPE_TAGS)
+    bad: dict[int, tuple[str, ...]] = {}
+    for counts, k in tally.items():
+        _, _, levels, t, a = split_counts(n, counts)
+        t_counts[t] += k
+        if shape_mode and t == 3:
+            shape_counts[2 * (levels >> 32 & 0xFF > 0) + (levels >> 40 & 0xFF > 0)] += k
+        if failing[t][a]:
+            bad[counts] = failing[t][a]
+    failures: list[dict] = []
+    if bad:
+
+        def collect(chosen: list[int], counts: int) -> None:
+            if counts in bad:
+                family = node_family(c, chosen)
+                failures.extend(_failure_record(name, family) for name in bad[counts])
+
+        enumerate_job(c, job, collect)
     if count != sum(t_counts):
         raise AssertionError(f"visit stream ({sum(t_counts)}) disagrees with count ({count})")
     return {

@@ -8,6 +8,7 @@ also prints one ACCEPTANCE ... PASS line for -s / tee'd runs.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -45,6 +46,9 @@ FLAGSHIP_BY_T = {3: 414818, 4: 457, 5: 6, 6: 1}
 FLAGSHIP_BY_SHAPE = {"G3": 2, "G3_G4": 9, "G3_G4_G5": 414766, "G3_G5": 41}
 N5_TOTALS = {2: 241805, 3: 4945, 4: 32, 5: 1}
 N4_TOTALS = {1: 2271, 2: 378, 3: 16, 4: 1}
+# sha256 of VerificationReport.body_bytes(), as bench/workloads.py pins them
+FLAGSHIP_BODY_SHA256 = "ec79cfccff5f23918a21aa2dd3a6fc0ba1a992bbb884cb9babfd2c73df8d3159"
+N5_T2_BODY_SHA256 = "15c90b5867206ac97eae1acdaf4f4e020c9f42261f5c33fefbe60caf83ff93f2"
 
 
 def collect(c: EnumerationConstraints) -> list[SetFamily]:
@@ -59,8 +63,8 @@ def test_criterion_1_main_theorem_exhaustive_n6_t3(tmp_path, interrupt_at_job):
     emptyset, M_6 in F and T(F) = 3 is visited, with zero failures of
     the at-least-three-abundant-elements statement.  The run is
     interrupted at its middle job and resumed from its checkpoint to
-    prove resumability; a single core finished it in 1.5 to 1.7 s in
-    three runs on a shared 2-vCPU Intel Xeon VM (Python 3.11.7), far
+    prove resumability; a single core finished it in 0.66 to 1.08 s in
+    nine runs on a shared 2-vCPU Intel Xeon VM (Python 3.11.7), far
     inside the 8-worker hour."""
     c = EnumerationConstraints(6, 3, up_to_iso=True)
     checkpoint = str(tmp_path / "flagship.ck")
@@ -75,6 +79,7 @@ def test_criterion_1_main_theorem_exhaustive_n6_t3(tmp_path, interrupt_at_job):
     assert report.families_by_shape == FLAGSHIP_BY_SHAPE
     assert sum(report.families_by_shape.values()) == report.families_by_T[3]
     assert set(report.families_by_shape) <= set(SHAPE_TAGS)
+    assert hashlib.sha256(report.body_bytes()).hexdigest() == FLAGSHIP_BODY_SHA256
 
     # classes with T >= 4 must equal the independent t=4 and t=5 runs
     by_t = report.families_by_T
@@ -110,6 +115,16 @@ def test_criterion_2_prior_cases_n5_and_n4():
             assert report.families_total == total, f"n={n} t={t}"
             assert sum(report.families_by_T.values()) == total
     print("ACCEPTANCE 2: n=5 (t>=2) and n=4 campaigns, 0 counterexamples: PASS")
+
+
+def test_criterion_2_labelled_n5_t2_body_is_pinned():
+    """The labelled n=5 t=2 campaign with every check has the same body
+    bytes at 1 and 2 workers, pinned by their sha256."""
+    c = EnumerationConstraints(5, 2)
+    for workers in (1, 2):
+        report = run_campaign(c, ("frankl", "s_frankl", "lemma_1_2_spot"), workers=workers)
+        assert hashlib.sha256(report.body_bytes()).hexdigest() == N5_T2_BODY_SHA256, workers
+    print("ACCEPTANCE 2b: n=5 t=2 labelled body sha256 pinned at 1 and 2 workers: PASS")
 
 
 def test_criterion_3_oracle_equivalence_n_le_4():

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -27,10 +28,11 @@ from ucf import (
     parse_family,
     run_campaign,
     s_frankl_holds,
+    t_value,
     union_closure,
 )
 from ucf.cli import main
-from ucf.enumeration import job_depth, subtree_jobs
+from ucf.enumeration import enumerate_job, job_depth, split_counts, subtree_jobs
 
 N3T1 = EnumerationConstraints(3, 1)
 
@@ -94,6 +96,22 @@ N6T4_ISO_DEPTH10_CHECKPOINT = (
 def always_fail(t: int, abundant: int) -> bool:
     """A check predicate that fails every family."""
     return False
+
+
+def counted(calls: Counter, name: str, fn):
+    """fn, counting its calls in calls[name]."""
+
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return wrapper
+
+
+def fail_at_bound(t: int, abundant: int) -> bool:
+    """A check predicate that fails the families with at most T(F)
+    abundant elements, those at the s_frankl bound."""
+    return abundant > t
 
 
 class TestRunCampaign:
@@ -258,10 +276,61 @@ class TestCounterexamplePlumbing:
 
     def test_forced_failures_name_the_canonical_families(self, monkeypatch):
         monkeypatch.setitem(verifier.CHECK_FNS, "frankl", always_fail)
+        monkeypatch.setitem(verifier.CHECK_FNS, "s_frankl", always_fail)
         c = EnumerationConstraints(4, 2, up_to_iso=True)
-        report = run_campaign(c, checks=("frankl",))
+        report = run_campaign(c, checks=("frankl", "s_frankl"))
         families = sorted(verifier.format_family(f) for f in brute_force_enumerate(c))
-        assert [r["family"] for r in report.counterexamples] == families
+        # a family that fails two checks has one record per check
+        records = [(r["check"], r["family"]) for r in report.counterexamples]
+        assert records == [(check, family) for check in ("frankl", "s_frankl") for family in families]
+
+    @pytest.mark.parametrize("c, found", [(EnumerationConstraints(5, 3, up_to_iso=True), 5), (EnumerationConstraints(4, 2), 29)])
+    def test_failures_of_some_families_are_exactly_those(self, tmp_path, monkeypatch, c, found):
+        # a check that fails some families only: each is found once, and
+        # bodies, checkpoints and dumps do not depend on the worker count
+        monkeypatch.setitem(verifier.CHECK_FNS, "s_frankl", fail_at_bound)
+        runs = []
+        for workers in (1, 2):
+            ck, ce_dir = tmp_path / f"{workers}.ck", tmp_path / f"ces{workers}"
+            report = run_campaign(c, workers=workers, checkpoint=str(ck), counterexample_dir=str(ce_dir))
+            runs.append((report.body_bytes(), ck.read_bytes(), {p.name: p.read_bytes() for p in ce_dir.iterdir()}))
+        assert runs[0] == runs[1]
+        families = [
+            f for f in brute_force_enumerate(c) if t_value(f) >= 2 and len(frequency_profile(f).abundant) <= t_value(f)
+        ]
+        assert len(families) == found
+        assert [r["check"] for r in report.counterexamples] == ["s_frankl"] * found
+        assert [r["family"] for r in report.counterexamples] == sorted(map(verifier.format_family, families))
+
+    def test_flagship_failures_at_the_bound(self, monkeypatch):
+        # the classes with exactly T(F) abundant elements, by (T, abundant)
+        monkeypatch.setitem(verifier.CHECK_FNS, "s_frankl", fail_at_bound)
+        report = run_campaign(EnumerationConstraints(6, 3, up_to_iso=True), workers=2)
+        split = Counter((r["t"], len(r["abundant"])) for r in report.counterexamples)
+        assert split == {(3, 3): 28, (4, 4): 4, (5, 5): 1, (6, 6): 1}
+
+    def test_verdicts_are_read_once_per_distinct_counter_value(self, monkeypatch):
+        # the walk's visit only tallies; a job walks again only when one of
+        # its counter values fails, and builds only the failing families
+        c = EnumerationConstraints(4, 2)
+        jobs = subtree_jobs(c)
+        distinct = failing_jobs = 0
+        for job in jobs:
+            values = set()
+            enumerate_job(c, job, lambda chosen, counts: values.add(counts))
+            distinct += len(values)
+            failing_jobs += any(not fail_at_bound(t, a) for _, _, _, t, a in (split_counts(4, v) for v in values))
+        assert distinct == 353 < 378  # families that share counters within a job
+        calls = Counter()
+        for name in ("split_counts", "node_family", "enumerate_job"):
+            monkeypatch.setattr(verifier, name, counted(calls, name, getattr(verifier, name)))
+        run_campaign(c)
+        assert calls == {"split_counts": distinct, "enumerate_job": len(jobs)}
+        calls.clear()
+        monkeypatch.setitem(verifier.CHECK_FNS, "s_frankl", fail_at_bound)
+        report = run_campaign(c)
+        assert len(report.counterexamples) == 29 and 1 <= failing_jobs < len(jobs)
+        assert calls == {"split_counts": distinct, "enumerate_job": len(jobs) + failing_jobs, "node_family": 29}
 
     def test_real_run_finds_nothing(self, tmp_path):
         ce_dir = tmp_path / "ces"
