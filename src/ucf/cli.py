@@ -27,8 +27,12 @@ from .verifier import CHECK_NAMES, check_single, run_campaign
 
 
 def _read_family(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return parse_family(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return parse_family(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError("not UTF-8 text", data.count(b"\n", 0, exc.start) + 1) from None
 
 
 # the decimal names of every mask an enumerable family can hold

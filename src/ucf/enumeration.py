@@ -49,7 +49,7 @@ above its bias then stays above: the family beats its image at a rank
 of those sizes, and every later member, and its image, ranks below all
 of them.  So only the lanes at exactly their bias go on, restarted at
 bias: the permutations that fix the family setwise (about 12 of 720 at
-n=6 t=3).  enumerate_job's replay switches at the same children, so a
+n=6 t=3).  enumerate_job forces this walk through a job's prefix, so a
 job starts with its prefix's lanes.  A labelled context has no lanes
 and no lower levels: every step and the bias are 0, so the same accept
 step passes every node and both modes share one walk.
@@ -344,9 +344,10 @@ def _key_emit(c: EnumerationConstraints, job: int, visit: Visit) -> CounterVisit
     node's key, bytes(node_family(c, chosen).members).
 
     In preorder, lanes[d - 1] holds a depth-d node's parent's complement
-    encodings when it is visited.  The job's replay visits its prefix,
-    the k set bits of job, first, so lanes[1..k-1] are seeded from it;
-    lanes[0], all 0, is the root's and keeps the identity.
+    encodings when it is visited.  The job's first visit is its root, the
+    node of its prefix, the k set bits of job, at depth k, so
+    lanes[1..k-1] are seeded from the prefix; lanes[0], all 0, is the
+    root's and keeps the identity.
     """
     ctx = _search_context(c)
     pool, full = ctx.pool, full_mask(c.n)
@@ -373,16 +374,6 @@ def _key_emit(c: EnumerationConstraints, job: int, visit: Visit) -> CounterVisit
     return emit
 
 
-def _filter_viable(ctx: _Search, viable: int, p: int, present: int) -> int:
-    """The viable candidates after p, less those whose union with
-    pool[p] is absent."""
-    out = viable >> (p + 1) << (p + 1)
-    for u, qs in ctx.groups[p]:
-        if not present >> u & 1:
-            out &= ~qs
-    return out
-
-
 def _stabilizer(ctx: _Search, orbit: _Orbit, enc: int) -> _Orbit:
     """The orbit test kept below a level: the lanes of enc at exactly their
     bias, the permutations that fix the chosen family, restarted at bias."""
@@ -404,16 +395,23 @@ def _walk_desc(
     counts: int,
     orbit: _Orbit,
     lower: int,
+    prefix: int = 0,
 ) -> int:
-    # every node is a complete family: unions of accepted masks are
-    # earlier candidates, hence already decided and present
-    if visit is not None:
-        visit(chosen, counts)
-    count = 1
+    # prefix: the job's candidates not yet chosen.  A node with one left lies on
+    # the way to the job's root: not visited or counted, its only child the next
+    if prefix:
+        count = 0
+        rem = prefix & -prefix & viable
+    else:
+        # every node is a complete family: unions of accepted masks are
+        # earlier candidates, hence already decided and present
+        if visit is not None:
+            visit(chosen, counts)
+        count = 1
+        rem = viable
     # lower: ctx.lower of the last member, 0 at the root
     _, steps, high = orbit
-    cols, lowers = ctx.cols, ctx.lower
-    rem = viable
+    cols, lowers, groups = ctx.cols, ctx.lower, ctx.groups
     while rem:
         low = rem & -rem
         p = low.bit_length() - 1
@@ -426,17 +424,23 @@ def _walk_desc(
         enc2 = enc + steps[p]
         if enc2 & high != high:
             continue
+        # the viable candidates after p, less those whose union with pool[p] is absent
+        after = viable >> (p + 1) << (p + 1)
+        for u, qs in groups[p]:
+            if not present >> u & 1:
+                after &= ~qs
         chosen.append(p)
         count += _walk_desc(
             ctx,
             visit,
             present | low,
-            _filter_viable(ctx, viable, p, present),
+            after,
             enc2,
             chosen,
             counts + cols[p],
             orbit,
             lowers[p],
+            prefix and prefix ^ low,
         )
         chosen.pop()
     return count
@@ -506,44 +510,20 @@ def subtree_jobs(c: EnumerationConstraints) -> list[int]:
 
 
 def enumerate_job(c: EnumerationConstraints, job: int, visit: CounterVisit | None = None) -> int:
-    """Enumerate one subtree; summing over subtree_jobs(c) equals the
-    full count.
+    """Enumerate one subtree, job < 2^job_depth(c); summing over
+    subtree_jobs(c) equals the full count.
 
-    Replays the job's first job_depth(c) decisions with the same closure
-    and canonicity tests the full search applies, so invalid assignments
-    cost nothing and no family is visited by two different jobs.  The
-    visit gets each family's chosen positions and packed counters, and
-    no family is built (node_family builds one).  The census-scale guard
-    is the caller's: run_campaign applies ensure_enumerable once, before
-    its first job.
+    A job is the walk from the root forced through its prefix, the
+    candidates i < job_depth(c) with bit i of job set; the others below
+    the depth are never viable.  So an invalid prefix costs nothing, no
+    family is visited by two jobs, and the visit gets each family's chosen
+    positions and packed counters in the walk's order, building no family
+    (node_family builds one).  run_campaign applies the census-scale
+    guard, ensure_enumerable, once, before its first job.
     """
     ctx = _search_context(c)
-    depth = job_depth(c)
-    orbit = ctx.orbit
-    enc = ctx.high
-    counts = ctx.base
-    chosen: list[int] = []
-    present = 0
-    viable = (1 << ctx.size) - 1
-    lower = 0
-    for i in range(depth):
-        if not job >> i & 1:
-            continue
-        if not viable >> i & 1:
-            return 0
-        if lower >> i & 1:  # the switch of _walk_desc
-            orbit = _stabilizer(ctx, orbit, enc)
-            enc = orbit[2]
-        enc += orbit[1][i]
-        if enc & orbit[2] != orbit[2]:
-            return 0
-        viable = _filter_viable(ctx, viable, i, present)
-        present |= 1 << i
-        chosen.append(i)
-        counts += ctx.cols[i]
-        lower = ctx.lower[i]
-    # the job decided every candidate below depth; those it left out stay out
-    return _walk_desc(ctx, visit, present, viable >> depth << depth, enc, chosen, counts, orbit, lower)
+    viable = (1 << ctx.size) - (1 << job_depth(c)) | job
+    return _walk_desc(ctx, visit, 0, viable, ctx.high, [], ctx.base, ctx.orbit, 0, job)
 
 
 def _job_keys(payload: tuple) -> list[bytes]:

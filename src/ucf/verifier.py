@@ -108,6 +108,8 @@ CHECK_FNS = {
     "lemma_1_2_spot": _lemma_1_2_spot_ok,
 }
 CHECK_NAMES = tuple(CHECK_FNS)
+# the (n, t) of the one campaign that also tallies its T=3 families by shape
+_SHAPE_CAMPAIGN = (6, 3)
 
 
 @dataclass
@@ -166,7 +168,7 @@ def _job_worker(payload: tuple) -> dict:
     """
     c, failing, job = payload
     n = c.n
-    shape_mode = n == 6 and c.t == 3
+    shape_mode = (n, c.t) == _SHAPE_CAMPAIGN
     tally: dict[int, int] = {}
 
     def visit(chosen: list[int], counts: int) -> None:
@@ -254,7 +256,7 @@ def _record_problem(record, header: dict) -> str | None:
         return f"by_t sums to {sum(by_t.values())}, not to count {count}"
     if not _is_tally(by_shape, SHAPE_TAGS):
         return f"by_shape {by_shape!r} does not map shape tags to ints >= 0"
-    if sum(by_shape.values()) != (by_t.get("3", 0) if (header["n"], header["t"]) == (6, 3) else 0):
+    if sum(by_shape.values()) != (by_t.get("3", 0) if (n, t) == _SHAPE_CAMPAIGN else 0):
         return f"by_shape {by_shape!r} must split the T=3 count of an n=6 t=3 campaign, and be empty in any other"
     if not isinstance(failures, list) or not all(_is_failure(f, header) for f in failures):
         return f"failures must be a list of objects with a check in {header['checks']} and a family over 1..{header['n']}"
@@ -387,21 +389,19 @@ def run_campaign(
             by_shape[key] = by_shape.get(key, 0) + value
         counterexamples.extend(record["failures"])
     counterexamples.sort(key=lambda r: (r["check"], r["family"]))
-
-    shape_mode = c.n == 6 and c.t == 3
     report = VerificationReport(
         constraints=c,
         checks=checks,
         families_total=families_total,
         families_by_T=by_t,
-        families_by_shape=by_shape if shape_mode else None,
+        families_by_shape=by_shape if (c.n, c.t) == _SHAPE_CAMPAIGN else None,
         counterexamples=counterexamples,
         wall_time=time.perf_counter() - start,
         workers=workers,
     )
     if sum(by_t.values()) != families_total:
         raise AssertionError("families_by_T does not sum to families_total")
-    if shape_mode and sum(by_shape.values()) != by_t.get(3, 0):
+    if report.families_by_shape is not None and sum(by_shape.values()) != by_t.get(3, 0):
         raise AssertionError("families_by_shape does not sum to the T=3 total")
     return report
 

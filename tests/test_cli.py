@@ -50,6 +50,12 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "line 3" in err and "line 2" in err
 
+    def test_non_utf8_file_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "f.family"
+        path.write_bytes(b"\xff\xfen=3\n")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == "parse error: line 1: not UTF-8 text\n"
+
     def test_missing_file(self, tmp_path, capsys):
         status = main(["check", str(tmp_path / "absent.family")])
         assert status == 2
@@ -67,6 +73,14 @@ class TestClosure:
         path = write(tmp_path, "open.family", "n=4\n1,2\n3,4\n")
         assert main(["closure", path]) == 0
         assert capsys.readouterr().out == "n=4\n1,2\n3,4\n1,2,3,4\n"
+
+    def test_non_utf8_member_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "open.family"
+        path.write_bytes(b"n=4\n1,2\n3,\xe94\n")
+        assert main(["closure", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: line 3: not UTF-8 text\n"
 
     def test_out_file_round_trips(self, tmp_path, capsys):
         path = write(tmp_path, "open.family", "n=4\n1,2\n3,4\n")

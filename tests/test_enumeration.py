@@ -209,8 +209,8 @@ class TestEnumerateFamilies:
 
     @pytest.mark.parametrize("n,t,iso", [(5, 3, True), (6, 4, True), (4, 1, False), (4, 2, False)])
     def test_every_emitted_key_is_its_node_family(self, n, t, iso):
-        # a job's replay visits its prefix node first, so the per-depth
-        # lanes of an up-to-iso emit are seeded from the job's prefix
+        # a job's first visit is its root, the node of its prefix, so the
+        # per-depth lanes of an up-to-iso emit are seeded from the prefix
         c = EnumerationConstraints(n, t, up_to_iso=iso)
         nodes = 0
         for job in subtree_jobs(c):
@@ -307,6 +307,30 @@ class TestJobPartition:
         for depth in (0, 5, 10, job_depth(c)):
             monkeypatch.setattr(enumeration, "job_depth", lambda c: depth)
             assert sum(enumerate_job(c, j) for j in subtree_jobs(c)) == 2900
+
+
+    @pytest.mark.parametrize(
+        "n,t,iso", [(4, 1, False), (4, 1, True), (5, 2, False), (5, 2, True), (5, 3, True), (6, 4, True)]
+    )
+    def test_each_job_is_its_prefix_slice_of_the_walk(self, monkeypatch, n, t, iso):
+        # a job visits exactly the nodes of the unsplit walk whose chosen
+        # candidates below the depth are its prefix, in the walk's order,
+        # which is also the order of a job's failure records
+        c = EnumerationConstraints(n, t, up_to_iso=iso)
+        depths = (0, 3, job_depth(c))
+        monkeypatch.setattr(enumeration, "job_depth", lambda c: 0)
+        walk: list[tuple[bytes, int]] = []
+        enumerate_job(c, 0, lambda chosen, counts: walk.append((bytes(chosen), counts)))
+        for depth in depths:
+            monkeypatch.setattr(enumeration, "job_depth", lambda c: depth)
+            slices: dict[int, list[tuple[bytes, int]]] = {}
+            for node in walk:
+                slices.setdefault(sum(1 << p for p in node[0] if p < depth), []).append(node)
+            assert subtree_jobs(c) == sorted(slices), depth
+            for job, expected in slices.items():
+                got: list[tuple[bytes, int]] = []
+                assert enumerate_job(c, job, lambda chosen, counts: got.append((bytes(chosen), counts))) == len(got)
+                assert got == expected, (depth, job)
 
 
 class TestBruteForceOracle:
