@@ -9,6 +9,7 @@ work on Python ints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import NoNonemptyMember, NotInScope, PreconditionViolation
@@ -34,16 +35,33 @@ def mask_from_elements(elements: Iterable[int], n: int) -> Mask:
     return mask
 
 
+class MaskTables(NamedTuple):
+    """Lookups by mask, for every mask below 2^n."""
+
+    elements: list[tuple[int, ...]]  # 1-based labels, ascending
+    lines: list[str]  # the member line of a family file: "{}", "1,2,6"
+    columns: list[int]  # 1 << 16 * (i - 1) summed over the elements i
+    masks: dict[str, Mask]  # lines inverted
+
+
+@lru_cache(maxsize=None)
+def mask_tables(n: int) -> MaskTables:
+    """The MaskTables of ground size n, built on its first use.  Those of
+    n extend those of n - 1 by the masks holding element n.  A family
+    has at most 2^12 members, so a sum of its columns keeps every
+    element's count in its own 16-bit lane."""
+    if n == 0:
+        return MaskTables([()], ["{}"], [0], {"{}": 0})
+    elements, lines, columns, _ = mask_tables(n - 1)
+    elements = elements + [e + (n,) for e in elements]
+    lines = lines + [str(n)] + [f"{line},{n}" for line in lines[1:]]
+    columns = columns + [c | 1 << 16 * (n - 1) for c in columns]
+    return MaskTables(elements, lines, columns, dict(zip(lines, range(1 << n))))
+
+
 def elements_of_mask(mask: Mask) -> tuple[int, ...]:
-    """1-based element labels of a mask, ascending."""
-    out = []
-    label = 1
-    while mask:
-        if mask & 1:
-            out.append(label)
-        mask >>= 1
-        label += 1
-    return tuple(out)
+    """1-based element labels of a mask below 2^MAX_GROUND_SIZE, ascending."""
+    return mask_tables(MAX_GROUND_SIZE).elements[mask]
 
 
 @dataclass(frozen=True)
@@ -89,7 +107,7 @@ class SetFamily:
         return len(self.members)
 
     def members_of_size(self, k: int) -> tuple[Mask, ...]:
-        return tuple(mask for mask in self.members if mask.bit_count() == k)
+        return tuple([mask for mask in self.members if mask.bit_count() == k])
 
 
 class FrequencyProfile(NamedTuple):
@@ -124,34 +142,24 @@ def is_union_closed(family: SetFamily) -> bool:
 def union_closure(family: SetFamily) -> SetFamily:
     """Smallest union-closed family containing the input.
 
-    Fixed point of adding pairwise unions; never adds the empty set on
-    its own and never leaves the power set of the input's union.
+    Fixed point of pairwise unions: each member joins every input
+    member once, in the round after it appears, which closes the family
+    since each member is a union of input members.  Never adds the empty
+    set on its own and never leaves the power set of the input's union.
     """
-    members = set(family.members)
-    frontier = set(family.members)
+    members = frontier = set(family.members)
     while frontier:
-        added = set()
-        for a in frontier:
-            for b in members:
-                u = a | b
-                if u not in members and u not in added:
-                    added.add(u)
-        members |= added
-        frontier = added
+        frontier = {a | g for a in frontier for g in family.members} - members
+        members |= frontier
     return SetFamily.from_masks(family.n, members)
 
 
 def t_value(family: SetFamily) -> int:
     """T(F): minimum cardinality over nonempty members."""
-    best = None
-    for mask in family.members:
-        if mask:
-            c = mask.bit_count()
-            if best is None or c < best:
-                best = c
-    if best is None:
+    sizes = [mask.bit_count() for mask in family.members if mask]
+    if not sizes:
         raise NoNonemptyMember("family has no nonempty member")
-    return best
+    return min(sizes)
 
 
 def level_profile(family: SetFamily) -> tuple[int, ...]:
@@ -163,18 +171,13 @@ def level_profile(family: SetFamily) -> tuple[int, ...]:
 
 
 def frequency_profile(family: SetFamily) -> FrequencyProfile:
-    freq = [0] * family.n
-    for mask in family.members:
-        b = 0
-        while mask:
-            if mask & 1:
-                freq[b] += 1
-            mask >>= 1
-            b += 1
+    packed = sum(map(mask_tables(family.n).columns.__getitem__, family.members))
+    # per-family tuples come from lists: a generator puts its frame on the heap
+    freq = tuple([packed >> 16 * i & 0xFFFF for i in range(family.n)])
     m = len(family.members)
     # integer threshold: element i is abundant iff 2*freq >= m
-    abundant = frozenset(i + 1 for i in range(family.n) if 2 * freq[i] >= m)
-    return FrequencyProfile(tuple(freq), m, abundant)
+    abundant = frozenset([i + 1 for i, f in enumerate(freq) if 2 * f >= m])
+    return FrequencyProfile(freq, m, abundant)
 
 
 def frankl_holds(family: SetFamily) -> bool:
@@ -220,11 +223,7 @@ def lemma_1_2_bound(m_mask: Mask, coatoms: SetFamily) -> Lemma12Result:
             raise PreconditionViolation(
                 f"co-atom {mask} does not have cardinality |M| - 1"
             )
-    min_freq = None
-    for b in range(m_mask.bit_length()):
-        if m_mask >> b & 1:
-            f = sum(1 for mask in coatoms.members if mask >> b & 1)
-            if min_freq is None or f < min_freq:
-                min_freq = f
-    assert min_freq is not None
+    # two distinct co-atoms cover M, so M lies within 1..coatoms.n
+    freq = frequency_profile(coatoms).freq
+    min_freq = min(freq[e - 1] for e in mask_tables(coatoms.n).elements[m_mask])
     return Lemma12Result(min_freq, min_freq >= coatoms.m - 1)

@@ -168,11 +168,10 @@ def abundance_witness(family: SetFamily) -> AbundanceWitness:
     """
     t = t_value(family)
     prof = frequency_profile(family)
-    need = t
     elements = tuple(sorted(prof.abundant))
-    if len(elements) < need:
+    if len(elements) < t:
         raise WitnessUnavailable(
-            f"only {len(elements)} abundant element(s), need {need}: "
+            f"only {len(elements)} abundant element(s), need {t}: "
             f"freq={prof.freq}, m={prof.m}"
         )
-    return AbundanceWitness(elements, prof.m, tuple(prof.freq[e - 1] for e in elements))
+    return AbundanceWitness(elements, prof.m, tuple([prof.freq[e - 1] for e in elements]))

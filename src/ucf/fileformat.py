@@ -3,12 +3,14 @@
 The first significant line is ``n=<int>``; every further significant
 line is one member set, either ``{}`` for the empty set or ascending
 comma-separated element labels like ``1,2,6``.  Blank lines and ``#``
-comments are ignored.  Duplicate members are a parse error.
+comments are ignored.  Duplicate members are a parse error.  Only a
+line feed ends a line: a carriage return before it is whitespace, and a
+form feed or another Unicode line break does not split a line.
 """
 
 from __future__ import annotations
 
-from .core import MAX_GROUND_SIZE, MIN_GROUND_SIZE, SetFamily, elements_of_mask, mask_from_elements
+from .core import MAX_GROUND_SIZE, MIN_GROUND_SIZE, SetFamily, mask_from_elements, mask_tables
 from .errors import ParseError
 
 
@@ -17,21 +19,25 @@ def parse_family(text: str) -> SetFamily:
     n: int | None = None
     masks: list[int] = []
     seen: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if n is None:
-            if not line.startswith("n="):
-                raise ParseError("expected header 'n=<int>'", lineno)
-            try:
-                n = int(line[2:])
-            except ValueError:
-                raise ParseError(f"bad ground set size {line[2:]!r}", lineno)
-            if not MIN_GROUND_SIZE <= n <= MAX_GROUND_SIZE:
-                raise ParseError(f"ground set size {n} outside {MIN_GROUND_SIZE}..{MAX_GROUND_SIZE}", lineno)
-            continue
-        mask = _parse_member(line, n, lineno)
+    spelled: dict[str, int] = {}  # the canonical member lines, once n is known
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        mask = spelled.get(raw)
+        if mask is None:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if n is None:
+                if not line.startswith("n="):
+                    raise ParseError("expected header 'n=<int>'", lineno)
+                try:
+                    n = int(line[2:])
+                except ValueError:
+                    raise ParseError(f"bad ground set size {line[2:]!r}", lineno)
+                if not MIN_GROUND_SIZE <= n <= MAX_GROUND_SIZE:
+                    raise ParseError(f"ground set size {n} outside {MIN_GROUND_SIZE}..{MAX_GROUND_SIZE}", lineno)
+                spelled = mask_tables(n).masks
+                continue
+            mask = _parse_member(line, n, lineno)
         if mask in seen:
             raise ParseError(
                 f"duplicate member (first seen on line {seen[mask]})", lineno
@@ -65,10 +71,5 @@ def _parse_member(line: str, n: int, lineno: int) -> int:
 
 def format_family(family: SetFamily) -> str:
     """Render a family in the file format (members in ascending mask order)."""
-    lines = [f"n={family.n}"]
-    for mask in family.members:
-        if mask == 0:
-            lines.append("{}")
-        else:
-            lines.append(",".join(str(e) for e in elements_of_mask(mask)))
-    return "\n".join(lines) + "\n"
+    lines = mask_tables(family.n).lines
+    return "\n".join([f"n={family.n}", *map(lines.__getitem__, family.members)]) + "\n"

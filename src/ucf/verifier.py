@@ -25,12 +25,12 @@ from typing import Sequence
 from .core import (
     Mask,
     SetFamily,
-    elements_of_mask,
     frankl_holds,
     frequency_profile,
     full_mask,
     lemma_1_2_bound,
     level_profile,
+    mask_tables,
     s_frankl_holds,
     t_value,
     union_closure,
@@ -428,10 +428,11 @@ class CheckRecord:
     verdict: str  # "pass" | "fail" | "not-applicable"
 
     def to_dict(self) -> dict:
+        elements = mask_tables(self.family.n).elements
         out: dict = {
             "family": format_family(self.family),
             "was_union_closed": self.was_union_closed,
-            "closure_added": [list(elements_of_mask(m)) for m in self.closure_added],
+            "closure_added": [list(elements[m]) for m in self.closure_added],
             "t": self.t,
             "levels": list(self.levels),
             "freq": list(self.freq),
@@ -448,9 +449,9 @@ class CheckRecord:
         if self.decomposition is not None:
             out["decomposition"] = {
                 "k": self.decomposition.k,
-                "pairs": [[list(elements_of_mask(a)), list(elements_of_mask(b))] for a, b in self.decomposition.pairs],
-                "residue": [list(elements_of_mask(m)) for m in self.decomposition.residue],
-                "target": list(elements_of_mask(self.decomposition.target)),
+                "pairs": [[list(elements[a]), list(elements[b])] for a, b in self.decomposition.pairs],
+                "residue": [list(elements[m]) for m in self.decomposition.residue],
+                "target": list(elements[self.decomposition.target]),
             }
         if self.witness is not None:
             out["witness"] = {
@@ -472,7 +473,7 @@ def check_single(family: SetFamily) -> CheckRecord:
     """
     closed = union_closure(family)
     given = set(family.members)
-    added = tuple(m for m in closed.members if m not in given)
+    added = tuple([m for m in closed.members if m not in given])
     notes: list[str] = []
     if added:
         notes.append(f"input is not union-closed; {len(added)} set(s) added, verdicts refer to the closure")

@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from ucf import EnumerationConstraints, SetFamily, elements_of_mask
+from ucf import EnumerationConstraints, SetFamily
 from ucf.enumeration import _member_counts, split_counts
 
 
 def as_sets(family: SetFamily) -> list[tuple[int, ...]]:
     """The members as 1-based element tuples, in member order."""
-    return [elements_of_mask(mask) for mask in family.members]
+    return [tuple(b + 1 for b in range(family.n) if mask >> b & 1) for mask in family.members]
 
 
 def as_frozensets(family: SetFamily) -> frozenset[frozenset[int]]:

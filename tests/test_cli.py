@@ -56,6 +56,33 @@ class TestCheck:
         assert main(["check", str(path)]) == 2
         assert capsys.readouterr().err == "parse error: line 1: not UTF-8 text\n"
 
+    def test_form_feed_does_not_split_a_line(self, tmp_path, capsys):
+        path = tmp_path / "f.family"
+        path.write_bytes(b"n=3\n1\x0c\n1\n")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == "parse error: line 3: duplicate member (first seen on line 2)\n"
+
+    def test_crlf_file_checks_like_its_lf_twin(self, tmp_path, capsys):
+        outputs = []
+        for name, end in (("lf.family", b"\n"), ("crlf.family", b"\r\n")):
+            path = tmp_path / name
+            path.write_bytes(F1_TEXT.encode().replace(b"\n", end))
+            for flags in ([], ["--json"]):
+                assert main(["check", *flags, str(path)]) == 0
+                outputs.append(capsys.readouterr().out)
+        assert outputs[:2] == outputs[2:]
+        assert "verdict: pass" in outputs[0]
+
+    def test_both_routes_count_lines_alike(self, tmp_path, capsys):
+        # a lone "\r" ends no line, for the UTF-8 check and for the parser
+        path = tmp_path / "f.family"
+        path.write_bytes(b"n=3\r1\r\xff\n")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == "parse error: line 1: not UTF-8 text\n"
+        path.write_bytes("n=3\r1\r\xff\n".encode())
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("parse error: line 1: bad ground set size")
+
     def test_missing_file(self, tmp_path, capsys):
         status = main(["check", str(tmp_path / "absent.family")])
         assert status == 2

@@ -61,10 +61,14 @@ class TestMaskHelpers:
         assert elements_of_mask(0) == ()
         assert elements_of_mask(0b110100) == (3, 5, 6)
 
-    @given(st.sets(st.integers(min_value=1, max_value=6)))
+    @given(st.sets(st.integers(min_value=1, max_value=12)))
     def test_mask_round_trip(self, elements):
-        mask = mask_from_elements(elements, 6)
-        assert set(elements_of_mask(mask)) == elements
+        mask = mask_from_elements(elements, 12)
+        assert elements_of_mask(mask) == tuple(sorted(elements))
+
+    @given(masks_strategy(12))
+    def test_elements_of_mask_matches_bits(self, mask):
+        assert elements_of_mask(mask) == tuple(b + 1 for b in range(12) if mask >> b & 1)
 
     def test_relabel_mask(self):
         # swap elements 1 and 2 of {1,3}
@@ -128,7 +132,8 @@ class TestClosure:
         f = SetFamily.from_sets(3, [[1, 2]])
         assert 0 not in union_closure(f).members
 
-    @given(family_strategy(4))
+    # the naive closure is quadratic in the closure, so larger n gets fewer members
+    @given(family_strategy(4) | st.integers(5, 12).flatmap(lambda n: family_strategy(n, max_size=6)))
     def test_closure_matches_naive(self, family):
         got = as_frozensets(union_closure(family))
         assert got == frozenset(naive_closure(set(as_frozensets(family))))
@@ -191,6 +196,18 @@ class TestProfilesAndT:
     def test_frequencies_sum_to_total_cardinality(self, family):
         prof = frequency_profile(family)
         assert sum(prof.freq) == sum(m.bit_count() for m in family.members)
+
+    @given(st.integers(2, 12).flatmap(lambda n: family_strategy(n, max_size=40)))
+    def test_frequency_profile_matches_a_count(self, family):
+        n, m = family.n, family.m
+        freq = tuple(sum(1 for mask in family.members if mask >> b & 1) for b in range(n))
+        abundant = frozenset(b + 1 for b in range(n) if 2 * freq[b] >= m)
+        assert frequency_profile(family) == FrequencyProfile(freq, m, abundant)
+
+    def test_frequency_lanes_hold_every_subset(self):
+        # 2^12 members: each element's count, 2^11, stays in its 16-bit lane
+        family = SetFamily(12, tuple(range(1 << 12)))
+        assert frequency_profile(family) == FrequencyProfile((1 << 11,) * 12, 1 << 12, frozenset(range(1, 13)))
 
 
 class TestConjectureStatements:

@@ -77,6 +77,45 @@ class TestFormat:
         f = SetFamily.from_sets(6, [[], [1, 2, 3], [1, 2, 3, 4, 5, 6]])
         assert format_family(f) == "n=6\n{}\n1,2,3\n1,2,3,4,5,6\n"
 
-    @given(st.integers(min_value=2, max_value=6).flatmap(family_strategy))
+    @given(st.integers(min_value=2, max_value=12).flatmap(family_strategy))
     def test_round_trip(self, family):
-        assert parse_family(format_family(family)) == family
+        text = format_family(family)
+        assert text == f"n={family.n}\n" + "".join(f"{spell(mask, family.n)}\n" for mask in family.members)
+        assert parse_family(text) == family
+
+    @given(st.integers(min_value=2, max_value=12).flatmap(family_strategy), st.randoms())
+    def test_other_spellings_parse_alike(self, family, rnd):
+        # spaces, tabs, comments and CRLF miss the canonical-line lookup
+        lines = [f" n={family.n}"]
+        for mask in family.members:
+            line = spell(mask, family.n)
+            line = rnd.choice([line, " " + line.replace(",", ", "), "\t" + line + "  # c", line + "\r"])
+            lines += [line] + rnd.choice([[], [""], ["# note"]])
+        assert parse_family("\n".join(lines)) == family
+
+
+def spell(mask: int, n: int) -> str:
+    """A member line of the file format, built bit by bit."""
+    return ",".join(str(b + 1) for b in range(n) if mask >> b & 1) or "{}"
+
+
+class TestLines:
+    def test_only_a_line_feed_ends_a_line(self):
+        # a form feed is whitespace inside line 2, not a line break
+        with pytest.raises(ParseError) as exc:
+            parse_family("n=3\n1\x0c\n1\n")
+        assert exc.value.line == 3
+        assert "line 2" in str(exc.value)
+        for sep in ("\x0b", "\x1c", "\x85", "\u2028", "\u2029"):
+            with pytest.raises(ParseError) as exc:
+                parse_family(f"n=3\n1{sep}\n{{}}\n1\n")
+            assert exc.value.line == 4
+
+    def test_crlf_parses_like_lf(self):
+        text = "# a family\n\nn=4\n{}\n1,2  # pair\n 3, 4\n1,2,3,4\n"
+        assert parse_family(text.replace("\n", "\r\n")) == parse_family(text)
+        with pytest.raises(ParseError) as lf:
+            parse_family("n=4\n1,2\n\n1,2\n")
+        with pytest.raises(ParseError) as crlf:
+            parse_family("n=4\r\n1,2\r\n\r\n1,2\r\n")
+        assert str(crlf.value) == str(lf.value) == "line 4: duplicate member (first seen on line 2)"

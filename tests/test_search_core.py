@@ -269,14 +269,30 @@ class TestPackedOrbitTest:
         assert enumerate_families(c) == 241805
 
 
-def module_loaded(module: str, code: str) -> bool:
-    """Whether module is imported after running code in a fresh interpreter."""
+def fresh_value(code: str, expr: str) -> str:
+    """The printed value of expr after running code in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(ucf.__file__))
-    code += f"\nprint({module!r} in sys.modules)\n"
+    code += f"\nprint({expr})\n"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    return out.stdout.split()[-1] == "True"
+    return out.stdout.split()[-1]
+
+
+def module_loaded(module: str, code: str) -> bool:
+    """Whether module is imported after running code in a fresh interpreter."""
+    return fresh_value(code, f"{module!r} in sys.modules") == "True"
+
+
+def test_mask_tables_are_built_on_first_use():
+    # an import or a campaign builds none: they would weigh on setup time
+    built = "ucf.core.mask_tables.cache_info().currsize"
+    assert fresh_value("import ucf.cli", built) == "0"
+    argv = "['verify', '--n', '5', '--t', '3', '--workers', '1']"
+    assert fresh_value(f"import ucf.cli\nassert ucf.cli.main({argv}) == 0", built) == "0"
+    # a check builds the tables of its ground size, and those below it
+    check = "import ucf\nucf.check_single(ucf.parse_family('n=5\\n1\\n2\\n')).to_dict()"
+    assert fresh_value(check, built) == "6"
 
 
 def test_campaigns_run_without_numpy():

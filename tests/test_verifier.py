@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import concurrent.futures
+import hashlib
 import itertools
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -612,6 +614,55 @@ run_campaign(EnumerationConstraints(4, 1), workers=2)
         assert ck.read_text().count("# agg ") == len(subtree_jobs(c))
 
 
+def check_corpus() -> list[str]:
+    """Seeded family files for n = 2..12: closed families holding {} and
+    M_n, open ones, and ones of large members (T >= 2 is likely), each
+    written with shuffled members, comments, blank lines, CRLF endings
+    and spellings such as ' 1, 3' that are not the canonical '1,3'."""
+    rng = random.Random(20181)
+    # no nonempty member; a 56-mask T-slice, too large for the pair search
+    texts = ["n=3\n{}\n", "n=8\n{}\n" + "".join(",".join(map(str, s)) + "\n" for r in (5, 6) for s in itertools.combinations(range(1, 9), r))]
+    for n in range(2, 13):
+        for i in range(30):
+            masks = {rng.randrange(1, 1 << n) for _ in range(rng.randint(2, 9))}
+            if i % 3 == 0:
+                masks = set(union_closure(SetFamily.from_masks(n, masks)).members) | {0, (1 << n) - 1}
+            elif i % 3 == 2:
+                masks = {m for m in masks if 2 * m.bit_count() >= n} | {0, (1 << n) - 1}
+            members = sorted(masks)
+            rng.shuffle(members)
+            lines = [f"n={n}"]
+            for mask in members:
+                labels = [str(b + 1) for b in range(n) if mask >> b & 1]
+                style = rng.randrange(6)
+                if not labels:
+                    line = " {} " if style == 0 else "{}"
+                elif style == 0:
+                    line = " " + ", ".join(labels)
+                elif style == 1:
+                    line = ",".join(labels) + "  # member"
+                elif style == 2:
+                    line = "\t" + ",".join(labels) + " "
+                else:
+                    line = ",".join(labels)
+                lines.append(line)
+                if rng.randrange(8) == 0:
+                    lines.append(rng.choice(["", "# a comment", "   "]))
+            if i % 5 == 4:
+                lines.insert(0, f"# family {i}")
+            end = "\r\n" if i % 7 == 6 else "\n"
+            texts.append(end.join(lines) + end)
+    return texts
+
+
+def corpus_digest(texts: list[str]) -> str:
+    """One sha256 over the sorted-key JSON of every check record."""
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(json.dumps(check_single(parse_family(text)).to_dict(), sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
+
 class TestCheckSingle:
     def test_closed_passing_family(self):
         f = SetFamily.from_sets(6, [[], [1, 2, 3], [1, 2, 3, 4, 5, 6]])
@@ -697,6 +748,14 @@ class TestCheckSingle:
         record = check_single(SetFamily(4, (0,)))
         assert record.frankl is None and record.s_frankl is None
         assert record.verdict == "not-applicable"
+
+    def test_records_of_a_seeded_corpus_are_pinned(self):
+        # every field of `ucf check --json`, closure text, pairing and
+        # notes included, as the bit-loop helpers that the per-n mask
+        # tables replaced wrote them
+        texts = check_corpus()
+        assert len(texts) == 332
+        assert corpus_digest(texts) == "a6eb49c5caf653bebb9a4a28e4fe37b571ec261b684fc4d615cb4fd6bd68065a"
 
 
 class TestReportConstruction:
