@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
+    FrequencyProfile,
     Mask,
     SetFamily,
     frequency_profile,
@@ -65,6 +66,18 @@ class AbundanceWitness:
     elements: tuple[int, ...]
     m: int
     counts: tuple[int, ...]
+
+    @classmethod
+    def of(cls, t: int, prof: FrequencyProfile) -> AbundanceWitness:
+        """The witness read off a family's T(F) and frequency profile;
+        WitnessUnavailable when fewer than t elements are abundant."""
+        elements = tuple(sorted(prof.abundant))
+        if len(elements) < t:
+            raise WitnessUnavailable(
+                f"only {len(elements)} abundant element(s), need {t}: "
+                f"freq={prof.freq}, m={prof.m}"
+            )
+        return cls(elements, prof.m, tuple([prof.freq[e - 1] for e in elements]))
 
 
 def classify_shape(family: SetFamily) -> str:
@@ -166,12 +179,4 @@ def abundance_witness(family: SetFamily) -> AbundanceWitness:
     WitnessUnavailable when too few elements qualify; that is exactly
     how a counterexample would surface.
     """
-    t = t_value(family)
-    prof = frequency_profile(family)
-    elements = tuple(sorted(prof.abundant))
-    if len(elements) < t:
-        raise WitnessUnavailable(
-            f"only {len(elements)} abundant element(s), need {t}: "
-            f"freq={prof.freq}, m={prof.m}"
-        )
-    return AbundanceWitness(elements, prof.m, tuple([prof.freq[e - 1] for e in elements]))
+    return AbundanceWitness.of(t_value(family), frequency_profile(family))

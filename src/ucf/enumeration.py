@@ -5,9 +5,10 @@ empty set and the full ground set M_n (for a union-closed family, the
 latter is union(F) = M_n), and have every nonempty member of
 cardinality >= t.  Two independent routes exist:
 
-* an orderly depth-first search over candidate masks that maintains
-  union-closure incrementally and can restrict itself to one canonical
-  representative per relabeling orbit, and
+* an orderly depth-first search over candidate masks, one recursion
+  entered through _walk, that maintains union-closure incrementally and
+  can restrict itself to one canonical representative per relabeling
+  orbit, and
 * ``brute_force_enumerate``, a vectorized subset scan used as an oracle.
 
 The search decides candidates in descending mask order, and up to
@@ -120,7 +121,8 @@ class EnumerationConstraints:
 
     n > MAX_ENUM_GROUND raises InfeasibleScale.  require_universe must be
     True; it stays a field because asdict() writes it into report bodies
-    and checkpoint headers, and callers pass up_to_iso after it by position.
+    and checkpoint headers, and because bench/ (workloads.py and run.py's
+    set-up code) passes up_to_iso after it by position; no other caller does.
     """
 
     n: int
@@ -289,9 +291,6 @@ class _Search:
     def size(self) -> int:
         return len(self.pool)
 
-    steps = property(lambda self: self.orbit[1])
-    high = property(lambda self: self.orbit[2])
-
 
 @lru_cache(maxsize=64)
 def _search_context(c: EnumerationConstraints) -> _Search:
@@ -385,65 +384,52 @@ def _stabilizer(ctx: _Search, orbit: _Orbit, enc: int) -> _Orbit:
     return _orbit(ctx.n, ctx.pool, tuple(itertools.compress(lanes, at_bias)))
 
 
-def _walk_desc(
-    ctx: _Search,
-    visit: CounterVisit | None,
-    present: int,
-    viable: int,
-    enc: int,
-    chosen: list[int],
-    counts: int,
-    orbit: _Orbit,
-    lower: int,
-    prefix: int = 0,
-) -> int:
-    # prefix: the job's candidates not yet chosen.  A node with one left lies on
-    # the way to the job's root: not visited or counted, its only child the next
-    if prefix:
-        count = 0
-        rem = prefix & -prefix & viable
-    else:
-        # every node is a complete family: unions of accepted masks are
-        # earlier candidates, hence already decided and present
-        if visit is not None:
-            visit(chosen, counts)
-        count = 1
-        rem = viable
-    # lower: ctx.lower of the last member, 0 at the root
-    _, steps, high = orbit
+def _walk(ctx: _Search, visit: CounterVisit | None, viable: int, prefix: int = 0) -> int:
+    """Count the nodes of the walk over the viable candidates, handing visit
+    each node's chosen positions and packed counters in preorder.
+
+    prefix: a job's candidates, which the walk is forced through; a node
+    with one of them not yet chosen lies on the way to the job's root: not
+    visited or counted, its only child the next."""
     cols, lowers, groups = ctx.cols, ctx.lower, ctx.groups
-    while rem:
-        low = rem & -rem
-        p = low.bit_length() - 1
-        rem ^= low
-        if low & lower:
-            # the first child below the last member's size: see the module docstring
-            orbit = _stabilizer(ctx, orbit, enc)
-            _, steps, high = orbit
-            enc, lower = high, 0
-        enc2 = enc + steps[p]
-        if enc2 & high != high:
-            continue
-        # the viable candidates after p, less those whose union with pool[p] is absent
-        after = viable >> (p + 1) << (p + 1)
-        for u, qs in groups[p]:
-            if not present >> u & 1:
-                after &= ~qs
-        chosen.append(p)
-        count += _walk_desc(
-            ctx,
-            visit,
-            present | low,
-            after,
-            enc2,
-            chosen,
-            counts + cols[p],
-            orbit,
-            lowers[p],
-            prefix and prefix ^ low,
-        )
-        chosen.pop()
-    return count
+    chosen: list[int] = []
+
+    # lower: ctx.lower of the last member, 0 at the root
+    def node(present: int, viable: int, enc: int, counts: int, orbit: _Orbit, lower: int, prefix: int) -> int:
+        if prefix:
+            count = 0
+            rem = prefix & -prefix & viable
+        else:
+            # every node is a complete family: unions of accepted masks are
+            # earlier candidates, hence already decided and present
+            if visit is not None:
+                visit(chosen, counts)
+            count = 1
+            rem = viable
+        _, steps, high = orbit
+        while rem:
+            low = rem & -rem
+            p = low.bit_length() - 1
+            rem ^= low
+            if low & lower:
+                # the first child below the last member's size: see the module docstring
+                orbit = _stabilizer(ctx, orbit, enc)
+                _, steps, high = orbit
+                enc, lower = high, 0
+            enc2 = enc + steps[p]
+            if enc2 & high != high:
+                continue
+            # the viable candidates after p, less those whose union with pool[p] is absent
+            after = viable >> (p + 1) << (p + 1)
+            for u, qs in groups[p]:
+                if not present >> u & 1:
+                    after &= ~qs
+            chosen.append(p)
+            count += node(present | low, after, enc2, counts + cols[p], orbit, lowers[p], prefix and prefix ^ low)
+            chosen.pop()
+        return count
+
+    return node(0, viable, ctx.orbit[2], ctx.base, ctx.orbit, 0, prefix)
 
 
 def enumerate_families(
@@ -465,7 +451,7 @@ def enumerate_families(
     ensure_enumerable(c, unbounded)
     if visit is None:
         ctx = _search_context(c)
-        return _walk_desc(ctx, None, 0, (1 << ctx.size) - 1, ctx.high, [], ctx.base, ctx.orbit, 0)
+        return _walk(ctx, None, (1 << ctx.size) - 1)
     count = 0
     with ExitStack() as stack:
         for keys in map_jobs(stack, _job_keys, [(c, job) for job in subtree_jobs(c)], workers):
@@ -499,13 +485,8 @@ def subtree_jobs(c: EnumerationConstraints) -> list[int]:
     iff its prefix is a node of the walk: these are the ids of the nodes
     of the walk over the first job_depth(c) candidates alone.
     """
-    ctx = _search_context(c)
     jobs: list[int] = []
-
-    def visit(chosen: list[int], counts: int) -> None:
-        jobs.append(sum(1 << p for p in chosen))
-
-    _walk_desc(ctx, visit, 0, (1 << job_depth(c)) - 1, ctx.high, [], ctx.base, ctx.orbit, 0)
+    _walk(_search_context(c), lambda chosen, counts: jobs.append(sum(1 << p for p in chosen)), (1 << job_depth(c)) - 1)
     return sorted(jobs)
 
 
@@ -522,8 +503,7 @@ def enumerate_job(c: EnumerationConstraints, job: int, visit: CounterVisit | Non
     guard, ensure_enumerable, once, before its first job.
     """
     ctx = _search_context(c)
-    viable = (1 << ctx.size) - (1 << job_depth(c)) | job
-    return _walk_desc(ctx, visit, 0, viable, ctx.high, [], ctx.base, ctx.orbit, 0, job)
+    return _walk(ctx, visit, (1 << ctx.size) - (1 << job_depth(c)) | job, job)
 
 
 def _job_keys(payload: tuple) -> list[bytes]:

@@ -20,8 +20,9 @@ from contextlib import ExitStack
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-# frankl_holds, s_frankl_holds and lemma_1_2_bound are not called here; they stay
-# importable from this module because bench/run.py times ucf.verifier globals by name
+# frankl_holds, s_frankl_holds, lemma_1_2_bound and abundance_witness are not called
+# here; they stay importable from this module because bench/run.py times ucf.verifier
+# globals by name
 from .core import (
     Mask,
     SetFamily,
@@ -505,7 +506,7 @@ def check_single(family: SetFamily) -> CheckRecord:
         except InfeasibleScale as exc:
             notes.append(f"no pair decomposition: {exc}")
         try:
-            witness = abundance_witness(closed)
+            witness = AbundanceWitness.of(t, prof)
         except WitnessUnavailable as exc:
             notes.append(f"no abundance witness: {exc}")
     return CheckRecord(

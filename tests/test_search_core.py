@@ -4,6 +4,7 @@ against the plain family functions and a plain permutation scan."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import os
 import subprocess
@@ -178,15 +179,17 @@ class TestPackedOrbitTest:
         # asc: the mask-encoded lanes of the ascending walk of tests/oracles.py
         if order == "desc":
             ctx = enumeration._search_context(EnumerationConstraints(n, t, up_to_iso=True))
+            _, steps, high = ctx.orbit
             encode = {mask: len(ctx.pool) - 1 - i for i, mask in enumerate(ctx.pool)}.__getitem__
         else:
             ctx = asc_search(n, t)
+            steps, high = ctx.steps, ctx.high
             encode = lambda mask: ctx.full ^ mask  # noqa: E731
         chosen = sorted(data.draw(st.sets(st.integers(0, len(ctx.pool) - 1), max_size=10)))
 
         def packed(positions) -> bool:
-            enc = ctx.high + sum(ctx.steps[p] for p in positions)
-            return enc & ctx.high == ctx.high
+            enc = high + sum(steps[p] for p in positions)
+            return enc & high == high
 
         members = [ctx.pool[p] for p in chosen]
         assert packed(chosen) == plain_canonical(n, members, encode)
@@ -204,7 +207,7 @@ class TestPackedOrbitTest:
         # 41 candidates at t=3 fit 6-byte lanes, 57 at t=2 fit 8-byte lanes
         for t, lane_bits in ((3, 48), (2, 64)):
             ctx = enumeration._search_context(EnumerationConstraints(6, t, up_to_iso=True))
-            assert ctx.high.bit_length() == 720 * lane_bits
+            assert ctx.orbit[2].bit_length() == 720 * lane_bits
 
     @pytest.mark.parametrize("n, t", [(4, 1), (4, 2), (5, 1), (5, 2), (5, 3), (6, 4)])
     def test_rank_lanes_visit_the_mask_lanes_nodes(self, monkeypatch, n, t):
@@ -263,10 +266,32 @@ class TestPackedOrbitTest:
         monkeypatch.setattr(enumeration, "_stabilizer", no_lanes)
         c = EnumerationConstraints(5, 2)
         ctx = enumeration._search_context.__wrapped__(c)
-        assert ctx.high == 0
-        assert ctx.steps == ctx.lower == (0,) * ctx.size
+        assert ctx.orbit == ((), (0,) * ctx.size, 0)
+        assert ctx.lower == (0,) * ctx.size
         monkeypatch.setattr(enumeration, "_search_context", lambda constraints: ctx)
         assert enumerate_families(c) == 241805
+
+
+def test_walk_visit_stream_is_pinned():
+    # every job's id and count and each (chosen, counts) it visits, in job
+    # order, as recorded before the walk took its one entry, _walk: n=2..5
+    # at every t in both modes but labelled n=5 t=1 (1,373,701 more visits,
+    # over 2 s more), n=6 t=3..6 up to iso and t=4..6 labelled
+    configs = [(n, t, iso) for n in range(2, 6) for t in range(1, n + 1) for iso in (False, True)]
+    configs.remove((5, 1, False))
+    configs += [(6, t, True) for t in range(3, 7)] + [(6, t, False) for t in range(4, 7)]
+    digest = hashlib.sha256()
+    visits = 0
+    for n, t, iso in configs:
+        c = EnumerationConstraints(n, t, up_to_iso=iso)
+        for job in subtree_jobs(c):
+            out: list[bytes] = []
+            count = enumerate_job(c, job, lambda chosen, counts: out.append(b"%d %b %d\n" % (len(chosen), bytes(chosen), counts)))
+            digest.update(b"%d %d %d %d %d\n" % (n, t, iso, job, count))
+            digest.update(b"".join(out))
+            visits += len(out)
+    assert visits == 794887
+    assert digest.hexdigest() == "564e5a95a9335f756f184817feae07c11139ae1384115ed82992ca196b079668"
 
 
 def fresh_value(code: str, expr: str) -> str:

@@ -14,15 +14,19 @@ from collections import Counter
 
 import pytest
 
+import ucf.core as core
+import ucf.decomposition as decomposition
 import ucf.verifier as verifier
 from oracles import asc_by_t
 from ucf import (
     SHAPE_TAGS,
     EnumerationConstraints,
     InfeasibleScale,
+    NoNonemptyMember,
     PreconditionViolation,
     SetFamily,
     VerificationReport,
+    abundance_witness,
     brute_force_enumerate,
     check_single,
     frankl_holds,
@@ -745,9 +749,26 @@ class TestCheckSingle:
             else:
                 assert record.s_frankl == s_frankl_holds(target)
             assert record.verdict == ("pass" if record.frankl and record.s_frankl is not False else "fail")
+            assert record.witness == abundance_witness(target)
         record = check_single(SetFamily(4, (0,)))
         assert record.frankl is None and record.s_frankl is None
         assert record.verdict == "not-applicable"
+        assert record.witness is None
+        with pytest.raises(NoNonemptyMember):
+            abundance_witness(SetFamily(4, (0,)))
+
+    def test_the_closure_is_profiled_once(self, monkeypatch):
+        # the witness is read off the record's own T(F) and profile; an
+        # n=5 family keeps classify_shape from reaching t_value
+        calls = Counter()
+        for name in ("frequency_profile", "t_value"):
+            fn = getattr(core, name)
+            counted = lambda family, name=name, fn=fn: calls.update([name]) or fn(family)  # noqa: E731
+            for module in (core, decomposition, verifier):
+                monkeypatch.setattr(module, name, counted)
+        record = check_single(SetFamily.from_sets(5, [[], [1, 2], [1, 3], [1, 2, 3, 4, 5]]))
+        assert record.witness is not None and record.shape is None
+        assert calls == Counter(frequency_profile=1)
 
     def test_records_of_a_seeded_corpus_are_pinned(self):
         # every field of `ucf check --json`, closure text, pairing and
