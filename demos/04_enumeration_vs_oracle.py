@@ -18,13 +18,22 @@ from ucf import (
     canonical_form,
     enumerate_families,
     format_family,
+    full_mask,
 )
+
+
+def key_family(n: int, key: int) -> SetFamily:
+    """The family behind an enumerate_families key: the int whose bit
+    2^n - 1 - m is set iff the mask m is a member."""
+    full = full_mask(n)
+    return SetFamily(n, tuple(m for m in range(full + 1) if key >> (full - m) & 1))
+
 
 c = EnumerationConstraints(n=4, t=2)
 
-# enumerate_families hands out each family's key, bytes(members)
+# enumerate_families hands out each family's key, one int
 search: list = []
-count = enumerate_families(c, lambda key: search.append(SetFamily(c.n, tuple(key))))
+count = enumerate_families(c, lambda key: search.append(key_family(c.n, key)))
 oracle = brute_force_enumerate(c)
 print(f"n=4, t=2: search {count}, oracle {len(oracle)}")
 assert Counter(f.members for f in search) == Counter(f.members for f in oracle)
@@ -33,7 +42,7 @@ print("family multisets agree")
 # collapse to one representative per relabeling orbit
 c_iso = EnumerationConstraints(n=4, t=2, up_to_iso=True)
 classes: list = []
-enumerate_families(c_iso, lambda key: classes.append(SetFamily(c_iso.n, tuple(key))))
+enumerate_families(c_iso, lambda key: classes.append(key_family(c_iso.n, key)))
 print(f"isomorphism classes: {len(classes)}")
 # a canonical form is hashable and names its orbit, so it is the key
 keys = [canonical_form(f) for f in classes]

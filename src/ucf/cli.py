@@ -10,12 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import struct
 import sys
 from typing import Iterable
 
-from .core import union_closure
+from .core import full_mask, union_closure
 from .enumeration import (
-    MAX_ENUM_GROUND,
     EnumerationConstraints,
     brute_force_enumerate,
     candidate_order,
@@ -35,8 +35,6 @@ def _read_family(path: str):
         raise ParseError("not UTF-8 text", data.count(b"\n", 0, exc.start) + 1) from None
 
 
-# the decimal names of every mask an enumerable family can hold
-_MASK_NAMES = [str(m) for m in range(1 << MAX_ENUM_GROUND)]
 _LINES_PER_WRITE = 1 << 14
 
 
@@ -55,15 +53,25 @@ def _write(out: str | None, chunks: Iterable[str]) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _write_listing(keys: list[bytes], out: str | None) -> None:
-    """Print count=, then write one line per family, in sorted order,
-    from bytes(members) keys: masks are below 256, so bytes order is
-    member-tuple order.  Lines are rendered and written a chunk at a time."""
-    keys.sort()
-    names = _MASK_NAMES
+def _write_listing(keys: list[int], n: int, out: str | None) -> None:
+    """Print count=, then write the families of keys over {1..n} (see ucf.enumeration)
+    one line each in member-tuple order, descending key order, a chunk at a time."""
+    keys.sort(reverse=True)
+    full = full_mask(n)
+    # t0..t7[v]: "a,b," for the members set in v as key byte 0..7 from the top; bit b is mask full - b
+    t0, t1, t2, t3, t4, t5, t6, t7 = [
+        ["".join([f"{full - b}," for b in range(k + 7, k - 1, -1) if v >> b - k & 1]) for v in range(256)]
+        for k in range(56, -8, -8)
+    ]
+
+    def render(chunk: list[int]) -> str:
+        data = struct.pack(f">{len(chunk)}Q", *chunk)
+        rows = zip(*[data[i::8] for i in range(8)])
+        text = "".join([f"{t0[a]}{t1[b]}{t2[c]}{t3[d]}{t4[e]}{t5[f]}{t6[g]}{t7[h]}\n" for a, b, c, d, e, f, g, h in rows])
+        return text.replace(",\n", "\n")  # each line's last member has a comma
+
     _write(None, [f"count={len(keys)}\n"])
-    chunks = (keys[i : i + _LINES_PER_WRITE] for i in range(0, len(keys), _LINES_PER_WRITE))
-    _write(out, ("".join([",".join([names[m] for m in key]) + "\n" for key in chunk]) for chunk in chunks))
+    _write(out, (render(keys[i : i + _LINES_PER_WRITE]) for i in range(0, len(keys), _LINES_PER_WRITE)))
 
 
 def _resolve_workers(args) -> int:
@@ -113,15 +121,16 @@ def cmd_closure(args) -> int:
 
 def cmd_enumerate(args) -> int:
     c = EnumerationConstraints(args.n, args.t, up_to_iso=args.up_to_iso)
-    keys: list[bytes] = []
+    keys: list[int] = []
     enumerate_families(c, keys.append, unbounded=args.unbounded, workers=_resolve_workers(args))
-    _write_listing(keys, args.out)
+    _write_listing(keys, c.n, args.out)
     return 0
 
 
 def cmd_oracle(args) -> int:
     c = EnumerationConstraints(args.n, args.t, up_to_iso=args.up_to_iso)
-    _write_listing([bytes(f.members) for f in brute_force_enumerate(c)], args.out)
+    full = full_mask(c.n)
+    _write_listing([sum([1 << full - m for m in f.members]) for f in brute_force_enumerate(c)], c.n, args.out)
     return 0
 
 

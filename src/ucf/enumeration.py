@@ -63,24 +63,23 @@ column.  ``split_counts`` reads them back together with T(F) and the
 number of abundant elements, the two values every check needs.
 ``enumerate_job`` hands the visit the counters: a campaign tallies them
 and checks each distinct value once, building only failing families;
-``enumerate_families`` hands it keys, bytes(members), and builds none.
+``enumerate_families`` hands it keys and builds none.
 
-The search keeps a different representative per orbit than the public
-canonical_form, which maximises sum(2^complement(mask)) over the orbit.
-node_family and canonical_form find it as the orbit maximum of that
-encoding over a precomputed (2^n, n!) table of uint64 lanes, one per
-permutation, then relabel through a mask-image table.
-enumerate_families walks the campaign's jobs and keeps those lanes per
-depth, seeded from the job's prefix: a node's lanes are its parent's
-OR the row of its last member, so a class costs one OR and one argmax.
-64-bit lanes hold the encoding while 2^n <= 64, so canonical forms
-stop at n = 6.  A canonical form is also the canonical key: SetFamily
-is frozen, hence hashable, and two families share a form iff they are
-isomorphic.
+A family's key is the bitset E(F) = sum(2^(2^n - 1 - m)) over its
+members m.  As every family holds M_n, keys in descending order list
+the member tuples in ascending order.  The search keeps a different
+representative per orbit than the public canonical_form, the image of
+largest E: node_family and canonical_form take that maximum over a
+precomputed (2^n, n!) table of uint64 lanes, one per permutation, and
+decode it.  enumerate_families walks the campaign's jobs and keeps
+those lanes per depth, seeded with {}, M_n and the job's prefix: a
+node's lanes are its parent's OR the row of its last member, so a class
+costs one OR and one argmax, and a labelled family one int OR.  64-bit
+lanes hold E while 2^n <= 64, so canonical forms stop at n = 6.
 
-numpy is imported only by the oracle, by canonical_form and by that
-relabel (its tables are built on first use, by each pool worker);
-counting, counter visits, labelled listings and campaigns run without it.
+numpy is imported only by the oracle and by canonical forms (their
+table is built on first use, by each pool worker); counting, counter
+visits, labelled listings and campaigns run without it.
 """
 
 from __future__ import annotations
@@ -104,8 +103,8 @@ MAX_ENUM_GROUND = 6
 MAX_CANONICAL_GROUND = 6
 BRUTE_FORCE_POOL_CAP = 22
 
-# visit(key): key is bytes(members) of one family, members ascending
-Visit = Callable[[bytes], None]
+# visit(key): key is E(F) of one family, see the module docstring
+Visit = Callable[[int], None]
 # visit(chosen, counts): chosen lists the family's pool positions and is
 # the walk's own list (copy it to keep it); counts packs its counters,
 # see split_counts
@@ -175,10 +174,9 @@ def _comp_powers(n: int):
     under each permutation, in _perms order.
 
     OR-ed over a family's members (distinct members have distinct
-    images, so this is their sum) it gives the per-permutation encoding
-    whose maximum marks the public canonical representative: a larger
-    encoding means a lexicographically smaller ascending member list.
-    Exact while 2^n <= 64, hence MAX_CANONICAL_GROUND.
+    images, so this is their sum) it gives E of the family's image under
+    each permutation; images have equally many members, so the largest
+    is the canonical representative's.  Exact while 2^n <= 64.
     """
     import numpy as np
 
@@ -199,10 +197,9 @@ def canonical_form(family: SetFamily) -> SetFamily:
         raise InfeasibleScale(f"canonical keys need an S_n scan; supported for n <= {MAX_CANONICAL_GROUND}")
     import numpy as np
 
-    # the permutation whose encoding is largest; no member leaves every lane 0
-    perm = int(np.bitwise_or.reduce(_comp_powers(n)[list(family.members)], axis=0).argmax())
-    images = _images(n)
-    return SetFamily(n, tuple(sorted(images[m][perm] for m in family.members)))
+    lanes = np.bitwise_or.reduce(_comp_powers(n)[list(family.members)], axis=0)
+    key, full = lanes.item(lanes.argmax()), full_mask(n)
+    return SetFamily(n, tuple(full - b for b in range(full, -1, -1) if key >> b & 1))
 
 
 @lru_cache(maxsize=32)
@@ -340,35 +337,29 @@ def node_family(c: EnumerationConstraints, chosen: Sequence[int]) -> SetFamily:
 
 def _key_emit(c: EnumerationConstraints, job: int, visit: Visit) -> CounterVisit:
     """A counter visit for enumerate_job(c, job) that hands visit each
-    node's key, bytes(node_family(c, chosen).members).
+    node's key, E(node_family(c, chosen)).
 
-    In preorder, lanes[d - 1] holds a depth-d node's parent's complement
-    encodings when it is visited.  The job's first visit is its root, the
-    node of its prefix, the k set bits of job, at depth k, so
-    lanes[1..k-1] are seeded from the prefix; lanes[0], all 0, is the
-    root's and keeps the identity.
+    In preorder, lanes[d - 1] holds a depth-d node's parent's key, or up
+    to isomorphism its E under each permutation, whose largest is the
+    key, when it is visited.  The job's first visit is its root, the node
+    of its prefix, the k set bits of job, at depth k, so depths 1..k-1
+    are seeded from the prefix; depth 0 holds {} and M_n.
     """
-    ctx = _search_context(c)
-    pool, full = ctx.pool, full_mask(c.n)
-    if not c.up_to_iso:
-        # the pool descends and chosen ascends, so the members come out ascending
-        return lambda chosen, counts: visit(bytes([0, *[pool[p] for p in reversed(chosen)], full]))
-    import numpy as np
-
-    powers, images = _comp_powers(c.n), _images(c.n)
-    rows = [powers[m] for m in pool]
-    image_rows = [images[m] for m in pool]
-    lanes = [np.zeros(powers.shape[1], dtype=np.uint64) for _ in range(ctx.size + 1)]
-    prefix = [i for i in range(job.bit_length()) if job >> i & 1]
-    for d, p in enumerate(prefix[:-1], start=1):
-        np.bitwise_or(lanes[d - 1], rows[p], out=lanes[d])
+    ctx, full = _search_context(c), full_mask(c.n)
+    rows, root, hand = [1 << full - m for m in ctx.pool], 1 << full | 1, visit
+    if c.up_to_iso:
+        powers = _comp_powers(c.n)
+        rows, root = [powers[m] for m in ctx.pool], powers[0] | powers[full]
+        hand = lambda lane: visit(lane.item(lane.argmax()))  # noqa: E731
+    lanes = [root] * (ctx.size + 1)  # replaced per depth, never written in place
+    for d, p in enumerate([i for i in range(job.bit_length()) if job >> i & 1][:-1], start=1):
+        lanes[d] = lanes[d - 1] | rows[p]
 
     def emit(chosen: list[int], counts: int) -> None:
         d = len(chosen)
         if d:
-            np.bitwise_or(lanes[d - 1], rows[chosen[-1]], out=lanes[d])
-        perm = int(lanes[d].argmax())
-        visit(bytes(sorted([0, full, *[image_rows[p][perm] for p in chosen]])))
+            lanes[d] = lanes[d - 1] | rows[chosen[-1]]
+        hand(lanes[d])
 
     return emit
 
@@ -439,11 +430,11 @@ def enumerate_families(
     unbounded: bool = False,
     workers: int = 1,
 ) -> int:
-    """Hand visit the key, bytes(members), of every family satisfying c,
-    in up_to_iso mode of its orbit's canonical_form; return the count.
+    """Hand visit the key E(F) of every family F satisfying c, in
+    up_to_iso mode of its orbit's canonical_form; return the count.
 
-    Keys arrive job by job in subtree_jobs order, each job's sorted, so
-    the stream is the same for any workers >= 1; more than one runs the
+    Keys arrive job by job in subtree_jobs order, each job's descending,
+    so the stream is the same for any workers >= 1; more than one runs the
     jobs on a pool (see map_jobs).  Without a visit, one serial walk counts.
     """
     if workers < 1:
@@ -506,12 +497,12 @@ def enumerate_job(c: EnumerationConstraints, job: int, visit: CounterVisit | Non
     return _walk(ctx, visit, (1 << ctx.size) - (1 << job_depth(c)) | job, job)
 
 
-def _job_keys(payload: tuple) -> list[bytes]:
-    """The sorted keys of one job's families; payload is (c, job)."""
+def _job_keys(payload: tuple) -> list[int]:
+    """The keys of one job's families, descending; payload is (c, job)."""
     c, job = payload
-    keys: list[bytes] = []
+    keys: list[int] = []
     enumerate_job(c, job, _key_emit(c, job, keys.append))
-    keys.sort()
+    keys.sort(reverse=True)
     return keys
 
 

@@ -43,6 +43,19 @@ def relabel_family(family: SetFamily, perm: Sequence[int]) -> SetFamily:
     return SetFamily.from_masks(family.n, (relabel_mask(mask, perm) for mask in family.members))
 
 
+def family_key(family: SetFamily) -> int:
+    """The listing key E(F) = sum(2^(2^n - 1 - m)) over the members m."""
+    full = (1 << family.n) - 1
+    return sum(1 << (full - m) for m in family.members)
+
+
+def key_family(n: int, key: int) -> SetFamily:
+    """The family over {1..n} whose listing key is key, as enumerate_families
+    hands it out: mask m is a member iff bit 2^n - 1 - m of key is set."""
+    full = (1 << n) - 1
+    return SetFamily(n, tuple(m for m in range(full + 1) if key >> (full - m) & 1))
+
+
 def naive_closure(sets_: set[frozenset[int]]) -> set[frozenset[int]]:
     """Union-closure by repeated full rescan."""
     closed = set(sets_)

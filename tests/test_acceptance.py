@@ -15,7 +15,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import as_frozensets, asc_by_t, max_matching_by_recursion, naive_closure, relabel_family
+from oracles import as_frozensets, asc_by_t, key_family, max_matching_by_recursion, naive_closure, relabel_family
 from ucf import (
     SHAPE_TAGS,
     EnumerationConstraints,
@@ -53,7 +53,7 @@ N5_T2_BODY_SHA256 = "15c90b5867206ac97eae1acdaf4f4e020c9f42261f5c33fefbe60caf83f
 
 def collect(c: EnumerationConstraints) -> list[SetFamily]:
     out: list[SetFamily] = []
-    n = enumerate_families(c, lambda key: out.append(SetFamily(c.n, tuple(key))))
+    n = enumerate_families(c, lambda key: out.append(key_family(c.n, key)))
     assert n == len(out)
     return out
 

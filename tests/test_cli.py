@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shlex
@@ -14,6 +15,8 @@ from test_verifier import OLD_N4T2_CHECKPOINT, always_fail
 from ucf.cli import main
 
 F1_TEXT = "n=6\n{}\n1,2,3\n1,2,3,4,5,6\n"
+# sha256 of the n=6 t=3 up-to-iso listing, as bench/workloads.py pins it
+FLAGSHIP_LISTING_SHA256 = "3c39948bc7daa6bb7d9c9743cc5d08a91b9e7c04d3cf9fe17fe5c307a0ba6ed7"
 
 
 def write(tmp_path, name, text):
@@ -156,6 +159,15 @@ class TestEnumerate:
         assert capsys.readouterr().out == "count=119\ncount=119\n"
         with open(outs[0], "rb") as serial, open(outs[1], "rb") as pooled:
             assert serial.read() == pooled.read()
+
+    def test_flagship_listing_is_pinned(self, tmp_path):
+        # the paper's 415,282 classes on a pool, run as the console script runs
+        out = tmp_path / "L"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ucf.__file__)))
+        argv = ["enumerate", "--n", "6", "--t", "3", "--up-to-iso", "--workers", "2", "--out", str(out)]
+        run = subprocess.run([sys.executable, "-m", "ucf.cli", *argv], env=env, capture_output=True, text=True, timeout=300)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "count=415282\n", "")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == FLAGSHIP_LISTING_SHA256
 
     def test_workers_below_one_exit_two(self, capsys, monkeypatch):
         # the flag and its UCF_WORKERS default are those of ucf verify

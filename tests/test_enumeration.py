@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import os
 import subprocess
@@ -10,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ucf.cli as cli
 import ucf.enumeration as enumeration
-from oracles import asc_families, asc_walk, naive_canonical_members, relabel_family
+from oracles import asc_families, asc_walk, family_key, key_family, naive_canonical_members, relabel_family
 from ucf import (
     EnumerationConstraints,
     InfeasibleScale,
@@ -46,7 +49,7 @@ KNOWN_COUNTS = {
 
 def collect(c: EnumerationConstraints) -> list[SetFamily]:
     out: list[SetFamily] = []
-    n = enumerate_families(c, lambda key: out.append(SetFamily(c.n, tuple(key))))
+    n = enumerate_families(c, lambda key: out.append(key_family(c.n, key)))
     assert n == len(out)
     return out
 
@@ -55,6 +58,11 @@ def family_strategy(n: int):
     return st.sets(
         st.integers(min_value=0, max_value=full_mask(n)), min_size=0, max_size=8
     ).map(lambda ms: SetFamily.from_masks(n, ms))
+
+
+def listed_family_strategy(n: int):
+    """Families that hold {} and M_n, as every enumerated family does."""
+    return family_strategy(n).map(lambda f: SetFamily.from_masks(n, (0, full_mask(n), *f.members)))
 
 
 class TestConstraints:
@@ -132,6 +140,43 @@ class TestCanonicalKey:
         assert (a.members < b.members) != (b.members < a.members)
 
 
+def listing(n: int, keys: list[int]) -> list[str]:
+    """The lines ucf.cli writes for keys, count= first."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write_listing(keys, n, None)
+    return out.getvalue().splitlines()
+
+
+class TestListingKeys:
+    # enumerate_families hands out E(F) (oracles.family_key), and ucf.cli
+    # renders listing lines from it
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6).flatmap(listed_family_strategy))
+    def test_key_decodes_to_the_members(self, family):
+        key = family_key(family)
+        assert key_family(family.n, key) == family
+        assert listing(family.n, [key]) == ["count=1", ",".join(map(str, family.members))]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(listed_family_strategy(n), max_size=12))))
+    def test_descending_keys_are_member_tuple_order(self, n_families):
+        n, families = n_families
+        by_key = sorted(families, key=family_key, reverse=True)
+        assert [bytes(f.members) for f in by_key] == sorted(bytes(f.members) for f in families)
+        lines = listing(n, [family_key(f) for f in families])
+        assert lines == [f"count={len(families)}"] + [",".join(map(str, f.members)) for f in by_key]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 6).flatmap(listed_family_strategy))
+    def test_canonical_form_decodes_the_largest_key(self, family):
+        form = canonical_form(family)
+        assert form.members == naive_canonical_members(family)
+        perms = itertools.permutations(range(family.n))
+        assert family_key(form) == max(family_key(relabel_family(family, perm)) for perm in perms)
+
+
 class TestEnumerateFamilies:
     @pytest.mark.parametrize("n,t", sorted(KNOWN_COUNTS))
     @pytest.mark.parametrize("order", ["desc", "asc"])
@@ -180,14 +225,14 @@ class TestEnumerateFamilies:
                 chosen = sorted(pos[m] for m in family.members if m in pos)
                 assert node_family(c, chosen) == family
             return
-        # enumerate_families hands out each job's keys sorted, job by job
-        # in subtree_jobs order
-        expected: list[bytes] = []
+        # enumerate_families hands out each job's keys in descending order,
+        # job by job in subtree_jobs order
+        expected: list[int] = []
         for job in subtree_jobs(c):
             nodes: list[list[int]] = []
             enumerate_job(c, job, lambda chosen, counts: nodes.append(chosen[:]))
-            expected += sorted(bytes(node_family(c, chosen).members) for chosen in nodes)
-        keys: list[bytes] = []
+            expected += sorted((family_key(node_family(c, chosen)) for chosen in nodes), reverse=True)
+        keys: list[int] = []
         assert enumerate_families(c, keys.append) == len(expected)
         assert keys == expected
 
@@ -214,12 +259,12 @@ class TestEnumerateFamilies:
         c = EnumerationConstraints(n, t, up_to_iso=iso)
         nodes = 0
         for job in subtree_jobs(c):
-            keys: list[bytes] = []
+            keys: list[int] = []
             emit = enumeration._key_emit(c, job, keys.append)
 
             def checked(chosen: list[int], counts: int) -> None:
                 emit(chosen, counts)
-                assert keys[-1] == bytes(node_family(c, chosen).members), (job, chosen)
+                assert keys[-1] == family_key(node_family(c, chosen)), (job, chosen)
 
             nodes += enumerate_job(c, job, checked)
         assert nodes == enumerate_families(c)
@@ -229,7 +274,7 @@ class TestEnumerateFamilies:
         c = EnumerationConstraints(n, t, up_to_iso=iso)
         streams = []
         for workers in (1, 2):
-            keys: list[bytes] = []
+            keys: list[int] = []
             assert enumerate_families(c, keys.append, workers=workers) == KNOWN_COUNTS[(n, t)][iso]
             streams.append(keys)
         assert streams[0] == streams[1]

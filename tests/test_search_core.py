@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import ucf
 import ucf.enumeration as enumeration
 import ucf.verifier as verifier
-from oracles import asc_search, asc_walk, relabel_mask
+from oracles import asc_search, asc_walk, key_family, relabel_mask
 from ucf import (
     CHECK_NAMES,
     EnumerationConstraints,
@@ -147,7 +147,7 @@ class TestCounters:
     def test_counter_visit_matches_family_visit(self):
         c = EnumerationConstraints(5, 3, up_to_iso=True)
         families = []
-        enumerate_families(c, lambda key: families.append(SetFamily(c.n, tuple(key))))
+        enumerate_families(c, lambda key: families.append(key_family(c.n, key)))
         assert sorted(f.members for f in families) == sorted(walk_counters(c, "desc"))
 
 
