@@ -57,13 +57,17 @@ step passes every node and both modes share one walk.
 
 Next to the chosen candidates the walk carries one int of counters
 that do not change under relabeling, one byte per lane: per-element
-frequencies, per-size member counts (T(F) is the smallest nonempty
-size) and the member count m.  Accepting a member adds its precomputed
-column.  ``split_counts`` reads them back together with T(F) and the
-number of abundant elements, the two values every check needs.
-``enumerate_job`` hands the visit the counters: a campaign tallies them
-and checks each distinct value once, building only failing families;
-``enumerate_families`` hands it keys and builds none.
+abundance margins 0x80 + 2 freq(e) - m, per-size member counts (T(F) is
+the smallest nonempty size) and the member count m.  Accepting a member
+adds its precomputed column, which adds 1 to the margins of its
+elements and takes 1 from the others.  An element is abundant iff its
+margin keeps its top bit, so counts & KEY_MASK[n], the margins' top bits
+and the size counts, is all a verdict reads: T(F), the number of
+abundant elements and the shape.  ``split_counts`` reads the counters,
+or such a key, back.  ``enumerate_job`` hands the visit the counters: a
+campaign tallies their keys and checks each distinct key once, building
+only failing families; ``enumerate_families`` hands it E(F) keys and
+builds none.
 
 A family's key is the bitset E(F) = sum(2^(2^n - 1 - m)) over its
 members m.  As every family holds M_n, keys in descending order list
@@ -230,38 +234,48 @@ def _orbit(n: int, pool: tuple[Mask, ...], lanes: tuple[int, ...]) -> _Orbit:
 
 
 def _member_counts(mask: Mask, n: int) -> int:
-    """The packed counters (see split_counts) of the family {mask}."""
-    lanes = [mask >> b & 1 for b in range(n)] + [0] * (n + 1) + [1]
-    lanes[n + mask.bit_count()] = 1
-    return int.from_bytes(bytes(lanes), "little")
+    """The column a member mask adds to the packed counters (see
+    split_counts): 1 to the margins of its elements, -1 to the others',
+    1 to its size's count and 1 to m."""
+    lanes = [0] * (n + 1) + [1]
+    lanes[mask.bit_count()] = 1
+    margins = sum((1 if mask >> b & 1 else -1) << 8 * b for b in range(n))
+    return (int.from_bytes(bytes(lanes), "little") << 8 * n) + margins
 
 
-# the top bit of each of the n frequency bytes, per n
+def _family_counts(masks: Sequence[Mask], n: int) -> int:
+    """The packed counters of the family of masks: bias plus columns."""
+    return _HIGH[n] + sum(_member_counts(m, n) for m in masks)
+
+
+# the top bit of each of the n margin bytes, per n: the margins' bias
 _HIGH = tuple(int.from_bytes(b"\x80" * n, "little") for n in range(MAX_ENUM_GROUND + 1))
+# the bits of the counters a verdict reads, per n: the margins' top bits
+# and the size counts; m and the margins' low bits are dropped
+KEY_MASK = tuple(high | ((1 << 8 * (n + 1)) - 1) << 8 * n for n, high in enumerate(_HIGH))
 
 
 def split_counts(n: int, counts: int) -> tuple[int, int, int, int, int]:
     """(m, freq, levels, t, a) from the packed counters of a family over M_n.
 
-    counts holds one byte per lane: byte e-1 counts the members holding
-    element e, byte n+k the members of size k, and the bytes from 2n+1
-    on hold the member count m.  freq and levels keep their lanes (byte
-    e-1, byte k), t is T(F), the smallest k >= 1 with a member of size
-    k, or 0 without a nonempty member, and a counts the abundant
-    elements, those in at least half of the m members.  A family over
-    M_n has at most 2^n <= 64 members for enumerable n, so no lane
-    overflows.
+    counts holds one byte per lane: byte e-1 holds the abundance margin
+    0x80 + 2 freq(e) - m of element e, byte n+k the members of size k, and
+    the bytes from 2n+1 on hold the member count m.  freq and levels keep
+    their lanes (byte e-1, byte k), t is T(F), the smallest k >= 1 with a
+    member of size k, or 0 without a nonempty member, and a counts the
+    abundant elements, those in at least half of the m members, whose
+    margins keep their top bit.  A family over M_n has at most 2^n <= 64
+    members for enumerable n, so every margin stays in 0x40..0xC0.  On a
+    key, counts & KEY_MASK[n], levels, t and a are the counters' own.
     """
     lane = 8 * n
     m = counts >> (2 * lane + 8)
-    freq = counts & ((1 << lane) - 1)
+    margins = counts & ((1 << lane) - 1)
     levels = counts >> lane & ((1 << (lane + 8)) - 1)
     above = levels >> 8
     high = _HIGH[n]
-    # byte e-1 becomes 0x80 + 2*freq(e) - m, which keeps its top bit iff
-    # element e is abundant; m <= 64 keeps every byte in 0x40..0xC0
-    a = (((freq << 1) + high - m * (high >> 7)) & high).bit_count()
-    return m, freq, levels, ((above & -above).bit_length() + 7) >> 3, a
+    freq = (margins - high + m * (high >> 7)) >> 1
+    return m, freq, levels, ((above & -above).bit_length() + 7) >> 3, (margins & high).bit_count()
 
 
 @dataclass
@@ -273,8 +287,8 @@ class _Search:
     # groups[p]: (u, qs) pairs, qs the later candidates whose union with
     # pool[p] is the strict superset pool[u] (an earlier candidate)
     groups: tuple[tuple[tuple[int, int], ...], ...]
-    # cols[p]: packed counters of {pool[p]}; base: of the family with no
-    # candidate chosen, so a node's counters are base plus its columns
+    # cols[p]: pool[p]'s counter column; base: the counters of the family
+    # with no candidate chosen, so a node's counters are base plus its columns
     cols: tuple[int, ...]
     base: int
     # the root's orbit test (see _orbit): no lanes, every step 0 and no
@@ -319,7 +333,7 @@ def _search_context(c: EnumerationConstraints) -> _Search:
         pool=pool,
         groups=tuple(groups),
         cols=tuple(_member_counts(m, n) for m in pool),
-        base=_member_counts(0, n) + _member_counts(full, n),
+        base=_family_counts((0, full), n),
         orbit=orbit,
         lower=lower,
     )
@@ -381,7 +395,9 @@ def _walk(ctx: _Search, visit: CounterVisit | None, viable: int, prefix: int = 0
 
     prefix: a job's candidates, which the walk is forced through; a node
     with one of them not yet chosen lies on the way to the job's root: not
-    visited or counted, its only child the next."""
+    visited or counted, its only child the next.  A child off the prefix
+    with no viable candidate after it is a leaf, visited and counted in
+    its parent's loop without a call of its own."""
     cols, lowers, groups = ctx.cols, ctx.lower, ctx.groups
     chosen: list[int] = []
 
@@ -416,7 +432,12 @@ def _walk(ctx: _Search, visit: CounterVisit | None, viable: int, prefix: int = 0
                 if not present >> u & 1:
                     after &= ~qs
             chosen.append(p)
-            count += node(present | low, after, enc2, counts + cols[p], orbit, lowers[p], prefix and prefix ^ low)
+            if after or prefix:
+                count += node(present | low, after, enc2, counts + cols[p], orbit, lowers[p], prefix and prefix ^ low)
+            else:
+                if visit is not None:
+                    visit(chosen, counts + cols[p])
+                count += 1
             chosen.pop()
         return count
 

@@ -45,6 +45,7 @@ from .decomposition import (
     pair_decompose,
 )
 from .enumeration import (
+    KEY_MASK,
     EnumerationConstraints,
     candidate_order,
     ensure_enumerable,
@@ -160,39 +161,43 @@ def _failing(n: int, checks: Sequence[str]) -> list[list[tuple[str, ...]]]:
 
 
 def _job_worker(payload: tuple) -> dict:
-    """One job's record, read off a tally of the walk's packed counters.
+    """One job's record, read off a tally of the walk's verdict keys.
 
-    The walk only counts families per counter value; T, the shape and the
-    verdicts of run_campaign's _failing table are read once per distinct
-    value.  A job with a failing value walks again to build, in order, the
-    SetFamily enumerate_families visits for each family that fails.
+    The walk only counts families per key, its packed counters & KEY_MASK[n]
+    (see split_counts); T, the shape and the verdicts of run_campaign's
+    _failing table are read once per distinct key.  A job with a failing
+    key walks again to build, in order, the SetFamily enumerate_families
+    visits for each family that fails.
     """
     c, failing, job = payload
     n = c.n
     shape_mode = (n, c.t) == _SHAPE_CAMPAIGN
+    key_mask = KEY_MASK[n]
     tally: dict[int, int] = {}
 
     def visit(chosen: list[int], counts: int) -> None:
-        tally[counts] = tally.get(counts, 0) + 1
+        key = counts & key_mask
+        tally[key] = tally.get(key, 0) + 1
 
     count = enumerate_job(c, job, visit)
     t_counts = [0] * (n + 1)
     shape_counts = [0] * len(SHAPE_TAGS)
     bad: dict[int, tuple[str, ...]] = {}
-    for counts, k in tally.items():
-        _, _, levels, t, a = split_counts(n, counts)
+    for key, k in tally.items():
+        _, _, levels, t, a = split_counts(n, key)
         t_counts[t] += k
         if shape_mode and t == 3:
             shape_counts[2 * (levels >> 32 & 0xFF > 0) + (levels >> 40 & 0xFF > 0)] += k
         if failing[t][a]:
-            bad[counts] = failing[t][a]
+            bad[key] = failing[t][a]
     failures: list[dict] = []
     if bad:
 
         def collect(chosen: list[int], counts: int) -> None:
-            if counts in bad:
+            checks = bad.get(counts & key_mask)
+            if checks:
                 family = node_family(c, chosen)
-                failures.extend(_failure_record(name, family) for name in bad[counts])
+                failures.extend(_failure_record(name, family) for name in checks)
 
         enumerate_job(c, job, collect)
     if count != sum(t_counts):

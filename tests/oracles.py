@@ -6,9 +6,9 @@ package under test.  The exception is ``asc_walk``, the ascending-order
 orderly search: it has its own candidate order, union table, closure
 rule, canonical representative and mask-encoded orbit lanes
 (``mask_lanes``), but borrows the package's counter columns
-(``_member_counts``, ``split_counts``), so it cross-checks the search
-rather than those counters, which tests/test_search_core.py checks on
-their own.
+(``_member_counts``, ``_family_counts``, ``split_counts``), so it
+cross-checks the search rather than those counters, which
+tests/test_search_core.py checks on their own.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from ucf import EnumerationConstraints, SetFamily
-from ucf.enumeration import _member_counts, split_counts
+from ucf.enumeration import _family_counts, _member_counts, split_counts
 
 
 def as_sets(family: SetFamily) -> list[tuple[int, ...]]:
@@ -199,7 +199,7 @@ def asc_search(n: int, t: int) -> AscSearch:
         steps=steps,
         high=high,
         cols=tuple(_member_counts(m, n) for m in pool),
-        base=sum(_member_counts(m, n) for m in members),
+        base=_family_counts(members, n),
     )
 
 

@@ -289,6 +289,16 @@ class TestVerify:
         dumps = list((tmp_path / "report.json.counterexamples").iterdir())
         assert len(dumps) == 45
 
+    def test_counterexample_dump_name_is_pinned(self, tmp_path, capsys, monkeypatch):
+        # ce- and the first 16 hex digits of sha256("frankl\n" + family) for
+        # the one n=2 t=2 family, {} and {1,2}
+        monkeypatch.setitem(verifier.CHECK_FNS, "frankl", always_fail)
+        report_path = str(tmp_path / "report.json")
+        assert main(["verify", "--n", "2", "--t", "2", "--checks", "frankl", "--report", report_path]) == 1
+        capsys.readouterr()
+        dumps = [p.name for p in (tmp_path / "report.json.counterexamples").iterdir()]
+        assert dumps == ["ce-2302b36154f5254c.family"]
+
     def test_checkpoint_resume(self, tmp_path, capsys):
         ck = str(tmp_path / "run.ck")
         args = ["verify", "--n", "4", "--t", "1", "--workers", "1", "--checkpoint", ck]

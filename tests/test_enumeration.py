@@ -346,6 +346,21 @@ class TestJobPartition:
         c = EnumerationConstraints(n, t, up_to_iso=iso)
         assert subtree_jobs(c) == [j for j in range(1 << job_depth(c)) if enumerate_job(c, j)]
 
+    @pytest.mark.parametrize("n,t,iso", [(3, 1, False), (3, 1, True), (4, 1, False), (4, 1, True)])
+    def test_a_job_of_the_whole_pool_is_one_family_or_none(self, monkeypatch, n, t, iso):
+        # with every candidate in the prefix, job j is the one family of j's
+        # candidates when the walk visits it, and empty otherwise, also
+        # where its forced path runs out of viable candidates early
+        c = EnumerationConstraints(n, t, up_to_iso=iso)
+        size = enumeration._search_context(c).size
+        monkeypatch.setattr(enumeration, "job_depth", lambda c: 0)
+        nodes: set[int] = set()
+        enumerate_job(c, 0, lambda chosen, counts: nodes.add(sum(1 << p for p in chosen)))
+        monkeypatch.setattr(enumeration, "job_depth", lambda c: size)
+        counts = {j: enumerate_job(c, j) for j in range(1 << size)}
+        assert {j for j, k in counts.items() if k} == nodes
+        assert set(counts.values()) == {0, 1}
+
     def test_every_depth_partitions_the_search(self, monkeypatch):
         # the split is job_depth's alone; any depth partitions the walk
         c = EnumerationConstraints(5, 2, up_to_iso=True)

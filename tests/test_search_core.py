@@ -35,7 +35,7 @@ from ucf import (
     t_value,
     union_closure,
 )
-from ucf.enumeration import _member_counts, enumerate_job, node_family, split_counts, subtree_jobs
+from ucf.enumeration import KEY_MASK, _family_counts, enumerate_job, node_family, split_counts, subtree_jobs
 
 
 def lanes(packed: int, count: int) -> tuple[int, ...]:
@@ -125,10 +125,22 @@ class TestCounters:
         # {} alone and a family without M_n, which no walk visits, from
         # their members' counter columns; a T=1 family from the walk
         for family in (SetFamily(4, (0,)), SetFamily.from_masks(4, (0, 3, 5, 7))):
-            counts = sum(_member_counts(m, family.n) for m in family.members)
+            counts = _family_counts(family.members, family.n)
             assert_counters_match(family, split_counts(family.n, counts))
         t1 = SetFamily.from_masks(3, (0, 1, 3, 7))
         assert_counters_match(t1, labelled_counters(3, 1)[t1.members])
+
+    def test_verdict_keys_read_as_their_counters(self):
+        # every distinct counter value the walks visit, at n <= 5 in both
+        # modes and at n=6 t >= 4: its key, counts & KEY_MASK[n], reads the
+        # same levels, T and abundant count, all a verdict needs
+        configs = [(n, t) for n in range(2, 6) for t in range(1, n + 1)] + [(6, t) for t in range(4, 7)]
+        for (n, t), iso in itertools.product(configs, (False, True)):
+            ctx = enumeration._search_context(EnumerationConstraints(n, t, up_to_iso=iso))
+            values: set[int] = set()
+            enumeration._walk(ctx, lambda chosen, counts: values.add(counts), (1 << ctx.size) - 1)
+            for counts in values:
+                assert split_counts(n, counts & KEY_MASK[n])[2:] == split_counts(n, counts)[2:], (n, t, iso, counts)
 
     @pytest.mark.parametrize("order", ["desc", "asc"])
     @pytest.mark.parametrize("iso", [False, True])
@@ -272,9 +284,17 @@ class TestPackedOrbitTest:
         assert enumerate_families(c) == 241805
 
 
+def old_packing(n: int, counts: int) -> int:
+    """The counters in the packing the pinned stream was recorded in,
+    with element frequencies where the margins are now."""
+    m, freq, levels, _, _ = split_counts(n, counts)
+    return freq | levels << 8 * n | m << 8 * (2 * n + 1)
+
+
 def test_walk_visit_stream_is_pinned():
     # every job's id and count and each (chosen, counts) it visits, in job
-    # order, as recorded before the walk took its one entry, _walk: n=2..5
+    # order, as recorded before the walk took its one entry, _walk, and
+    # before the counters held abundance margins (see old_packing): n=2..5
     # at every t in both modes but labelled n=5 t=1 (1,373,701 more visits,
     # over 2 s more), n=6 t=3..6 up to iso and t=4..6 labelled
     configs = [(n, t, iso) for n in range(2, 6) for t in range(1, n + 1) for iso in (False, True)]
@@ -286,7 +306,7 @@ def test_walk_visit_stream_is_pinned():
         c = EnumerationConstraints(n, t, up_to_iso=iso)
         for job in subtree_jobs(c):
             out: list[bytes] = []
-            count = enumerate_job(c, job, lambda chosen, counts: out.append(b"%d %b %d\n" % (len(chosen), bytes(chosen), counts)))
+            count = enumerate_job(c, job, lambda chosen, counts: out.append(b"%d %b %d\n" % (len(chosen), bytes(chosen), old_packing(n, counts))))
             digest.update(b"%d %d %d %d %d\n" % (n, t, iso, job, count))
             digest.update(b"".join(out))
             visits += len(out)

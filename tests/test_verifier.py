@@ -38,7 +38,7 @@ from ucf import (
     union_closure,
 )
 from ucf.cli import main
-from ucf.enumeration import enumerate_job, job_depth, split_counts, subtree_jobs
+from ucf.enumeration import KEY_MASK, enumerate_job, job_depth, split_counts, subtree_jobs
 
 N3T1 = EnumerationConstraints(3, 1)
 
@@ -316,17 +316,19 @@ class TestCounterexamplePlumbing:
         assert split == {(3, 3): 28, (4, 4): 4, (5, 5): 1, (6, 6): 1}
 
     def test_verdicts_are_read_once_per_distinct_counter_value(self, monkeypatch):
-        # the walk's visit only tallies; a job walks again only when one of
-        # its counter values fails, and builds only the failing families
+        # the walk's visit only tallies verdict keys, counts & KEY_MASK[n]; a
+        # job walks again only when one of its keys fails, and builds only
+        # the failing families
         c = EnumerationConstraints(4, 2)
         jobs = subtree_jobs(c)
         distinct = failing_jobs = 0
         for job in jobs:
-            values = set()
-            enumerate_job(c, job, lambda chosen, counts: values.add(counts))
-            distinct += len(values)
-            failing_jobs += any(not fail_at_bound(t, a) for _, _, _, t, a in (split_counts(4, v) for v in values))
-        assert distinct == 353 < 378  # families that share counters within a job
+            keys = set()
+            enumerate_job(c, job, lambda chosen, counts: keys.add(counts & KEY_MASK[4]))
+            distinct += len(keys)
+            failing_jobs += any(not fail_at_bound(t, a) for _, _, _, t, a in (split_counts(4, k) for k in keys))
+        # families that share keys within a job, against 353 distinct counter values
+        assert distinct == 209 < 378
         calls = Counter()
         for name in ("split_counts", "node_family", "enumerate_job"):
             monkeypatch.setattr(verifier, name, counted(calls, name, getattr(verifier, name)))
