@@ -64,10 +64,11 @@ elements and takes 1 from the others.  An element is abundant iff its
 margin keeps its top bit, so counts & KEY_MASK[n], the margins' top bits
 and the size counts, is all a verdict reads: T(F), the number of
 abundant elements and the shape.  ``split_counts`` reads the counters,
-or such a key, back.  ``enumerate_job`` hands the visit the counters: a
-campaign tallies their keys and checks each distinct key once, building
-only failing families; ``enumerate_families`` hands it E(F) keys and
-builds none.
+or such a key, back.  ``enumerate_job`` hands a visit the bitmask and
+the counters, or counts a job's families per key into a tally dict
+inside the walk, with no call per family: a campaign checks each
+distinct key once and builds only failing families.
+``enumerate_families`` hands its visit E(F) keys and builds none.
 
 A family's key is the bitset E(F) = sum(2^(2^n - 1 - m)) over its
 members m.  As every family holds M_n, keys in descending order list
@@ -109,10 +110,9 @@ BRUTE_FORCE_POOL_CAP = 22
 
 # visit(key): key is E(F) of one family, see the module docstring
 Visit = Callable[[int], None]
-# visit(chosen, counts): chosen lists the family's pool positions and is
-# the walk's own list (copy it to keep it); counts packs its counters,
-# see split_counts
-CounterVisit = Callable[[list[int], int], None]
+# visit(present, counts): bit p of present is set iff the family holds
+# pool[p]; counts packs its counters, see split_counts
+CounterVisit = Callable[[int, int], None]
 # a packed orbit test, see _orbit: (lanes, per-member steps, bias bits)
 _Orbit = tuple[tuple[int, ...], tuple[int, ...], int]
 
@@ -284,7 +284,7 @@ class _Search:
 
     n: int
     pool: tuple[Mask, ...]
-    # groups[p]: (u, qs) pairs, qs the later candidates whose union with
+    # groups[p]: (2^u, ~qs) pairs, qs the later candidates whose union with
     # pool[p] is the strict superset pool[u] (an earlier candidate)
     groups: tuple[tuple[tuple[int, int], ...], ...]
     # cols[p]: pool[p]'s counter column; base: the counters of the family
@@ -327,7 +327,7 @@ def _search_context(c: EnumerationConstraints) -> _Search:
             u = pos.get(a | pool[q], p)
             if u != p:
                 by_union[u] = by_union.get(u, 0) | 1 << q
-        groups.append(tuple(by_union.items()))
+        groups.append(tuple((1 << u, ~qs) for u, qs in by_union.items()))
     return _Search(
         n=n,
         pool=pool,
@@ -339,11 +339,12 @@ def _search_context(c: EnumerationConstraints) -> _Search:
     )
 
 
-def node_family(c: EnumerationConstraints, chosen: Sequence[int]) -> SetFamily:
-    """The family behind a counter visit's chosen positions, the one whose
-    key enumerate_families hands out."""
-    ctx = _search_context(c)
-    family = SetFamily(c.n, tuple(sorted([0, full_mask(c.n), *[ctx.pool[p] for p in chosen]])))
+def node_family(c: EnumerationConstraints, present: int) -> SetFamily:
+    """The family behind a counter visit's bitmask of chosen pool positions,
+    the one whose key enumerate_families hands out."""
+    pool = _search_context(c).pool
+    members = [pool[p] for p in range(present.bit_length()) if present >> p & 1]
+    family = SetFamily(c.n, tuple(sorted([0, full_mask(c.n), *members])))
     if c.up_to_iso:
         return canonical_form(family)
     return family
@@ -351,13 +352,15 @@ def node_family(c: EnumerationConstraints, chosen: Sequence[int]) -> SetFamily:
 
 def _key_emit(c: EnumerationConstraints, job: int, visit: Visit) -> CounterVisit:
     """A counter visit for enumerate_job(c, job) that hands visit each
-    node's key, E(node_family(c, chosen)).
+    node's key, E(node_family(c, present)).
 
     In preorder, lanes[d - 1] holds a depth-d node's parent's key, or up
     to isomorphism its E under each permutation, whose largest is the
     key, when it is visited.  The job's first visit is its root, the node
     of its prefix, the k set bits of job, at depth k, so depths 1..k-1
-    are seeded from the prefix; depth 0 holds {} and M_n.
+    are seeded from the prefix; depth 0 holds {} and M_n.  Positions are
+    chosen ascending: present's bit count is the depth, its top bit the
+    last member.
     """
     ctx, full = _search_context(c), full_mask(c.n)
     rows, root, hand = [1 << full - m for m in ctx.pool], 1 << full | 1, visit
@@ -369,10 +372,10 @@ def _key_emit(c: EnumerationConstraints, job: int, visit: Visit) -> CounterVisit
     for d, p in enumerate([i for i in range(job.bit_length()) if job >> i & 1][:-1], start=1):
         lanes[d] = lanes[d - 1] | rows[p]
 
-    def emit(chosen: list[int], counts: int) -> None:
-        d = len(chosen)
+    def emit(present: int, counts: int) -> None:
+        d = present.bit_count()
         if d:
-            lanes[d] = lanes[d - 1] | rows[chosen[-1]]
+            lanes[d] = lanes[d - 1] | rows[present.bit_length() - 1]
         hand(lanes[d])
 
     return emit
@@ -389,17 +392,18 @@ def _stabilizer(ctx: _Search, orbit: _Orbit, enc: int) -> _Orbit:
     return _orbit(ctx.n, ctx.pool, tuple(itertools.compress(lanes, at_bias)))
 
 
-def _walk(ctx: _Search, visit: CounterVisit | None, viable: int, prefix: int = 0) -> int:
+def _walk(ctx: _Search, visit: CounterVisit | None, viable: int, prefix: int = 0, tally: dict | None = None) -> int:
     """Count the nodes of the walk over the viable candidates, handing visit
-    each node's chosen positions and packed counters in preorder.
+    each node's bitmask of chosen positions and packed counters in preorder.
 
     prefix: a job's candidates, which the walk is forced through; a node
     with one of them not yet chosen lies on the way to the job's root: not
     visited or counted, its only child the next.  A child off the prefix
     with no viable candidate after it is a leaf, visited and counted in
-    its parent's loop without a call of its own."""
+    its parent's loop without a call of its own.  tally, a dict, gets 1
+    added at counts & KEY_MASK[n] for every node counted."""
     cols, lowers, groups = ctx.cols, ctx.lower, ctx.groups
-    chosen: list[int] = []
+    key_mask = KEY_MASK[ctx.n]
 
     # lower: ctx.lower of the last member, 0 at the root
     def node(present: int, viable: int, enc: int, counts: int, orbit: _Orbit, lower: int, prefix: int) -> int:
@@ -410,7 +414,10 @@ def _walk(ctx: _Search, visit: CounterVisit | None, viable: int, prefix: int = 0
             # every node is a complete family: unions of accepted masks are
             # earlier candidates, hence already decided and present
             if visit is not None:
-                visit(chosen, counts)
+                visit(present, counts)
+            if tally is not None:
+                key = counts & key_mask
+                tally[key] = tally.get(key, 0) + 1
             count = 1
             rem = viable
         _, steps, high = orbit
@@ -426,19 +433,21 @@ def _walk(ctx: _Search, visit: CounterVisit | None, viable: int, prefix: int = 0
             enc2 = enc + steps[p]
             if enc2 & high != high:
                 continue
-            # the viable candidates after p, less those whose union with pool[p] is absent
-            after = viable >> (p + 1) << (p + 1)
-            for u, qs in groups[p]:
-                if not present >> u & 1:
-                    after &= ~qs
-            chosen.append(p)
+            # the viable candidates after p, less those whose union with pool[p]
+            # is absent; off a prefix, rem holds exactly the viable ones after p
+            after = viable >> (p + 1) << (p + 1) if prefix else rem
+            for bit, nq in groups[p]:
+                if not present & bit:
+                    after &= nq
             if after or prefix:
                 count += node(present | low, after, enc2, counts + cols[p], orbit, lowers[p], prefix and prefix ^ low)
             else:
                 if visit is not None:
-                    visit(chosen, counts + cols[p])
+                    visit(present | low, counts + cols[p])
+                if tally is not None:
+                    key = counts + cols[p] & key_mask
+                    tally[key] = tally.get(key, 0) + 1
                 count += 1
-            chosen.pop()
         return count
 
     return node(0, viable, ctx.orbit[2], ctx.base, ctx.orbit, 0, prefix)
@@ -498,24 +507,28 @@ def subtree_jobs(c: EnumerationConstraints) -> list[int]:
     of the walk over the first job_depth(c) candidates alone.
     """
     jobs: list[int] = []
-    _walk(_search_context(c), lambda chosen, counts: jobs.append(sum(1 << p for p in chosen)), (1 << job_depth(c)) - 1)
+    _walk(_search_context(c), lambda present, counts: jobs.append(present), (1 << job_depth(c)) - 1)
     return sorted(jobs)
 
 
-def enumerate_job(c: EnumerationConstraints, job: int, visit: CounterVisit | None = None) -> int:
+def enumerate_job(
+    c: EnumerationConstraints, job: int, visit: CounterVisit | None = None, tally: dict | None = None
+) -> int:
     """Enumerate one subtree, job < 2^job_depth(c); summing over
     subtree_jobs(c) equals the full count.
 
     A job is the walk from the root forced through its prefix, the
     candidates i < job_depth(c) with bit i of job set; the others below
     the depth are never viable.  So an invalid prefix costs nothing, no
-    family is visited by two jobs, and the visit gets each family's chosen
-    positions and packed counters in the walk's order, building no family
-    (node_family builds one).  run_campaign applies the census-scale
+    family is visited by two jobs, and the visit gets each family's
+    bitmask of chosen positions and packed counters in the walk's order,
+    building no family (node_family builds one).  A tally dict counts the
+    job's families per verdict key, counts & KEY_MASK[n], inside the walk,
+    with no call per family.  run_campaign applies the census-scale
     guard, ensure_enumerable, once, before its first job.
     """
     ctx = _search_context(c)
-    return _walk(ctx, visit, (1 << ctx.size) - (1 << job_depth(c)) | job, job)
+    return _walk(ctx, visit, (1 << ctx.size) - (1 << job_depth(c)) | job, job, tally)
 
 
 def _job_keys(payload: tuple) -> list[int]:

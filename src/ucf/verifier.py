@@ -163,23 +163,18 @@ def _failing(n: int, checks: Sequence[str]) -> list[list[tuple[str, ...]]]:
 def _job_worker(payload: tuple) -> dict:
     """One job's record, read off a tally of the walk's verdict keys.
 
-    The walk only counts families per key, its packed counters & KEY_MASK[n]
-    (see split_counts); T, the shape and the verdicts of run_campaign's
-    _failing table are read once per distinct key.  A job with a failing
-    key walks again to build, in order, the SetFamily enumerate_families
-    visits for each family that fails.
+    The walk itself counts families per key, its packed counters &
+    KEY_MASK[n] (see split_counts), with no call per family; T, the shape
+    and the verdicts of run_campaign's _failing table are read once per
+    distinct key.  A job with a failing key walks again to build, in
+    order, the SetFamily enumerate_families visits for each family that
+    fails.
     """
     c, failing, job = payload
     n = c.n
     shape_mode = (n, c.t) == _SHAPE_CAMPAIGN
-    key_mask = KEY_MASK[n]
     tally: dict[int, int] = {}
-
-    def visit(chosen: list[int], counts: int) -> None:
-        key = counts & key_mask
-        tally[key] = tally.get(key, 0) + 1
-
-    count = enumerate_job(c, job, visit)
+    count = enumerate_job(c, job, tally=tally)
     t_counts = [0] * (n + 1)
     shape_counts = [0] * len(SHAPE_TAGS)
     bad: dict[int, tuple[str, ...]] = {}
@@ -192,16 +187,17 @@ def _job_worker(payload: tuple) -> dict:
             bad[key] = failing[t][a]
     failures: list[dict] = []
     if bad:
+        key_mask = KEY_MASK[n]
 
-        def collect(chosen: list[int], counts: int) -> None:
+        def collect(present: int, counts: int) -> None:
             checks = bad.get(counts & key_mask)
             if checks:
-                family = node_family(c, chosen)
+                family = node_family(c, present)
                 failures.extend(_failure_record(name, family) for name in checks)
 
         enumerate_job(c, job, collect)
     if count != sum(t_counts):
-        raise AssertionError(f"visit stream ({sum(t_counts)}) disagrees with count ({count})")
+        raise AssertionError(f"key tally ({sum(t_counts)}) disagrees with count ({count})")
     return {
         "job": job,
         "count": count,
@@ -245,8 +241,10 @@ def _is_failure(value, header: dict) -> bool:
         return False
 
 
-def _record_problem(record, header: dict) -> str | None:
-    """What makes a job record unusable in the campaign of header, or None."""
+def _record_problem(record, header: dict, jobs: set[int]) -> str | None:
+    """What makes a job record unusable in the campaign of header, whose
+    nonempty jobs are jobs, or None.  A record of no families for an
+    empty job, as older labelled runs wrote, is usable."""
     if not isinstance(record, dict):
         return "a job record must be an object"
     job, count, by_t, by_shape, failures = map(record.get, ("job", "count", "by_t", "by_shape", "failures"))
@@ -255,6 +253,8 @@ def _record_problem(record, header: dict) -> str | None:
         return f"job {job!r} outside 0..{(1 << depth) - 1}"
     if not _is_count(count):
         return f"count {count!r} is not an int >= 0"
+    if count and job not in jobs:
+        return f"job {job} has no families in this campaign, but its record counts {count}"
     n, t = header["n"], header["t"]
     if not _is_tally(by_t, map(str, range(t, n + 1))):
         return f"by_t {by_t!r} does not map {t}..{n} to ints >= 0"
@@ -269,9 +269,10 @@ def _record_problem(record, header: dict) -> str | None:
     return None
 
 
-def _load_checkpoint(path: str, header: dict) -> tuple[dict[int, dict], int]:
+def _load_checkpoint(path: str, header: dict, jobs: set[int]) -> tuple[dict[int, dict], int]:
     """Completed job records from an earlier run of the same campaign,
-    and the length of the file's prefix that holds whole lines.
+    whose nonempty jobs are jobs, and the length of the file's prefix
+    that holds whole lines.
 
     The first line is the campaign header, which must equal header in
     every field, the job depth included.  Every later line is a `# agg`
@@ -299,7 +300,7 @@ def _load_checkpoint(path: str, header: dict) -> tuple[dict[int, dict], int]:
                 )
         elif line.startswith("# agg "):
             record = _checkpoint_json(path, lineno, line[len("# agg "):])
-            problem = _record_problem(record, header)
+            problem = _record_problem(record, header, jobs)
             if problem:
                 raise PreconditionViolation(f"checkpoint {path} line {lineno}: {problem}")
             job = record["job"]
@@ -360,8 +361,8 @@ def run_campaign(
     ensure_enumerable(c, unbounded)
     start = time.perf_counter()
     header = _checkpoint_header(c, checks)
-    done, keep = _load_checkpoint(checkpoint, header) if checkpoint else ({}, 0)
     jobs = subtree_jobs(c)
+    done, keep = _load_checkpoint(checkpoint, header, set(jobs)) if checkpoint else ({}, 0)
 
     payloads = [(c, failing, job) for job in jobs if job not in done]
     with ExitStack() as stack:

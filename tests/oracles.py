@@ -43,6 +43,12 @@ def relabel_family(family: SetFamily, perm: Sequence[int]) -> SetFamily:
     return SetFamily.from_masks(family.n, (relabel_mask(mask, perm) for mask in family.members))
 
 
+def positions(mask: int) -> list[int]:
+    """The set bits of mask, ascending: the pool positions a counter visit's
+    bitmask chooses, in the order the walk chose them."""
+    return [p for p in range(mask.bit_length()) if mask >> p & 1]
+
+
 def family_key(family: SetFamily) -> int:
     """The listing key E(F) = sum(2^(2^n - 1 - m)) over the members m."""
     full = (1 << family.n) - 1

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import ucf.cli as cli
 import ucf.enumeration as enumeration
-from oracles import asc_families, asc_walk, family_key, key_family, naive_canonical_members, relabel_family
+from oracles import asc_families, asc_walk, family_key, key_family, naive_canonical_members, positions, relabel_family
 from ucf import (
     EnumerationConstraints,
     InfeasibleScale,
@@ -222,16 +222,16 @@ class TestEnumerateFamilies:
             # tests/oracles.py visits, node_family builds that family back
             pos = {mask: i for i, mask in enumerate(enumeration._search_context(c).pool)}
             for family in asc_families(c):
-                chosen = sorted(pos[m] for m in family.members if m in pos)
-                assert node_family(c, chosen) == family
+                present = sum(1 << pos[m] for m in family.members if m in pos)
+                assert node_family(c, present) == family
             return
         # enumerate_families hands out each job's keys in descending order,
         # job by job in subtree_jobs order
         expected: list[int] = []
         for job in subtree_jobs(c):
-            nodes: list[list[int]] = []
-            enumerate_job(c, job, lambda chosen, counts: nodes.append(chosen[:]))
-            expected += sorted((family_key(node_family(c, chosen)) for chosen in nodes), reverse=True)
+            nodes: list[int] = []
+            enumerate_job(c, job, lambda present, counts: nodes.append(present))
+            expected += sorted((family_key(node_family(c, present)) for present in nodes), reverse=True)
         keys: list[int] = []
         assert enumerate_families(c, keys.append) == len(expected)
         assert keys == expected
@@ -262,9 +262,9 @@ class TestEnumerateFamilies:
             keys: list[int] = []
             emit = enumeration._key_emit(c, job, keys.append)
 
-            def checked(chosen: list[int], counts: int) -> None:
-                emit(chosen, counts)
-                assert keys[-1] == family_key(node_family(c, chosen)), (job, chosen)
+            def checked(present: int, counts: int) -> None:
+                emit(present, counts)
+                assert keys[-1] == family_key(node_family(c, present)), (job, positions(present))
 
             nodes += enumerate_job(c, job, checked)
         assert nodes == enumerate_families(c)
@@ -332,8 +332,8 @@ class TestJobPartition:
         seen: list[tuple[int, ...]] = []
         for job in subtree_jobs(c):
             got: list[int] = []
-            total += enumerate_job(c, job, lambda chosen, counts: got.append(chosen[:]))
-            seen.extend(node_family(c, chosen).members for chosen in got)
+            total += enumerate_job(c, job, lambda present, counts: got.append(present))
+            seen.extend(node_family(c, present).members for present in got)
         assert total == len(serial)
         assert sorted(seen) == sorted(f.members for f in serial)
 
@@ -355,7 +355,7 @@ class TestJobPartition:
         size = enumeration._search_context(c).size
         monkeypatch.setattr(enumeration, "job_depth", lambda c: 0)
         nodes: set[int] = set()
-        enumerate_job(c, 0, lambda chosen, counts: nodes.add(sum(1 << p for p in chosen)))
+        enumerate_job(c, 0, lambda present, counts: nodes.add(present))
         monkeypatch.setattr(enumeration, "job_depth", lambda c: size)
         counts = {j: enumerate_job(c, j) for j in range(1 << size)}
         assert {j for j, k in counts.items() if k} == nodes
@@ -380,7 +380,7 @@ class TestJobPartition:
         depths = (0, 3, job_depth(c))
         monkeypatch.setattr(enumeration, "job_depth", lambda c: 0)
         walk: list[tuple[bytes, int]] = []
-        enumerate_job(c, 0, lambda chosen, counts: walk.append((bytes(chosen), counts)))
+        enumerate_job(c, 0, lambda present, counts: walk.append((bytes(positions(present)), counts)))
         for depth in depths:
             monkeypatch.setattr(enumeration, "job_depth", lambda c: depth)
             slices: dict[int, list[tuple[bytes, int]]] = {}
@@ -389,7 +389,7 @@ class TestJobPartition:
             assert subtree_jobs(c) == sorted(slices), depth
             for job, expected in slices.items():
                 got: list[tuple[bytes, int]] = []
-                assert enumerate_job(c, job, lambda chosen, counts: got.append((bytes(chosen), counts))) == len(got)
+                assert enumerate_job(c, job, lambda present, counts: got.append((bytes(positions(present)), counts))) == len(got)
                 assert got == expected, (depth, job)
 
 

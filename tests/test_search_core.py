@@ -9,6 +9,7 @@ import itertools
 import os
 import subprocess
 import sys
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import ucf
 import ucf.enumeration as enumeration
 import ucf.verifier as verifier
-from oracles import asc_search, asc_walk, key_family, relabel_mask
+from oracles import asc_search, asc_walk, key_family, positions, relabel_mask
 from ucf import (
     CHECK_NAMES,
     EnumerationConstraints,
@@ -90,8 +91,8 @@ def walk_counters(c: EnumerationConstraints, order: str) -> dict[tuple[int, ...]
         count = asc_walk(c, visit)
     else:
 
-        def visit(chosen, counts):
-            out[node_family(c, chosen).members] = split_counts(c.n, counts)
+        def visit(present, counts):
+            out[node_family(c, present).members] = split_counts(c.n, counts)
 
         count = sum(enumerate_job(c, job, visit) for job in subtree_jobs(c))
     assert count == len(out)
@@ -138,9 +139,24 @@ class TestCounters:
         for (n, t), iso in itertools.product(configs, (False, True)):
             ctx = enumeration._search_context(EnumerationConstraints(n, t, up_to_iso=iso))
             values: set[int] = set()
-            enumeration._walk(ctx, lambda chosen, counts: values.add(counts), (1 << ctx.size) - 1)
+            enumeration._walk(ctx, lambda present, counts: values.add(counts), (1 << ctx.size) - 1)
             for counts in values:
                 assert split_counts(n, counts & KEY_MASK[n])[2:] == split_counts(n, counts)[2:], (n, t, iso, counts)
+
+    def test_walk_tally_is_the_tally_of_its_visits(self):
+        # every job of the walks at n <= 5 in both modes and at n=6 t >= 4:
+        # the tally the walk keeps itself, with no visit, is the tally of
+        # counts & KEY_MASK[n] over the job's visit stream, and sums to its count
+        configs = [(n, t) for n in range(2, 6) for t in range(1, n + 1)] + [(6, t) for t in range(4, 7)]
+        for (n, t), iso in itertools.product(configs, (False, True)):
+            c = EnumerationConstraints(n, t, up_to_iso=iso)
+            for job in subtree_jobs(c):
+                tally: dict[int, int] = {}
+                count = enumerate_job(c, job, tally=tally)
+                keys: list[int] = []
+                assert enumerate_job(c, job, lambda present, counts: keys.append(counts & KEY_MASK[n])) == count
+                assert tally == Counter(keys), (n, t, iso, job)
+                assert sum(tally.values()) == count, (n, t, iso, job)
 
     @pytest.mark.parametrize("order", ["desc", "asc"])
     @pytest.mark.parametrize("iso", [False, True])
@@ -178,7 +194,7 @@ def node_stream(c: EnumerationConstraints) -> tuple[list[int], list[tuple[bytes,
     nodes: list[tuple[bytes, int]] = []
     jobs = subtree_jobs(c)
     for job in jobs:
-        enumerate_job(c, job, lambda chosen, counts: nodes.append((bytes(chosen), counts)))
+        enumerate_job(c, job, lambda present, counts: nodes.append((bytes(positions(present)), counts)))
     return jobs, nodes
 
 
@@ -247,24 +263,24 @@ class TestPackedOrbitTest:
     @pytest.mark.parametrize("n, t", [(4, 1), (4, 2), (5, 1), (5, 2), (5, 3), (6, 4)])
     def test_switches_keep_the_stabilizer_lanes(self, monkeypatch, n, t):
         # at every switch of one serial walk (job 0 with job_depth set to
-        # 0, whose one chosen list is the switching node's), the lanes kept
-        # are exactly the permutations that map the chosen family onto itself
+        # 0), the lanes kept are exactly the permutations that map the
+        # switching node's family, the bitmask present of the walk's frame
+        # that calls _stabilizer, onto itself
         c = EnumerationConstraints(n, t, up_to_iso=True)
         pool = enumeration._search_context(c).pool
         perms = list(itertools.permutations(range(n)))
         image = {(m, i): relabel_mask(m, perm) for m in pool for i, perm in enumerate(perms)}
         stabilizer = enumeration._stabilizer
-        walk: list[list[int]] = []
         switches = []
 
         def recorded(*args):
             orbit = stabilizer(*args)
-            switches.append((tuple(walk[0]), orbit[0]))
+            switches.append((positions(sys._getframe(1).f_locals["present"]), orbit[0]))
             return orbit
 
         monkeypatch.setattr(enumeration, "_stabilizer", recorded)
         monkeypatch.setattr(enumeration, "job_depth", lambda c: 0)
-        enumerate_job(c, 0, lambda chosen, counts: walk or walk.append(chosen))
+        enumerate_job(c, 0)
         assert switches
         for chosen, kept in switches:
             family = {pool[p] for p in chosen}
@@ -292,7 +308,7 @@ def old_packing(n: int, counts: int) -> int:
 
 
 def test_walk_visit_stream_is_pinned():
-    # every job's id and count and each (chosen, counts) it visits, in job
+    # every job's id and count and each (chosen positions, counts) it visits, in job
     # order, as recorded before the walk took its one entry, _walk, and
     # before the counters held abundance margins (see old_packing): n=2..5
     # at every t in both modes but labelled n=5 t=1 (1,373,701 more visits,
@@ -306,7 +322,7 @@ def test_walk_visit_stream_is_pinned():
         c = EnumerationConstraints(n, t, up_to_iso=iso)
         for job in subtree_jobs(c):
             out: list[bytes] = []
-            count = enumerate_job(c, job, lambda chosen, counts: out.append(b"%d %b %d\n" % (len(chosen), bytes(chosen), old_packing(n, counts))))
+            count = enumerate_job(c, job, lambda present, counts: out.append(b"%d %b %d\n" % (present.bit_count(), bytes(positions(present)), old_packing(n, counts))))
             digest.update(b"%d %d %d %d %d\n" % (n, t, iso, job, count))
             digest.update(b"".join(out))
             visits += len(out)

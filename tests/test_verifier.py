@@ -107,9 +107,9 @@ def always_fail(t: int, abundant: int) -> bool:
 def counted(calls: Counter, name: str, fn):
     """fn, counting its calls in calls[name]."""
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         calls[name] += 1
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     return wrapper
 
@@ -324,7 +324,7 @@ class TestCounterexamplePlumbing:
         distinct = failing_jobs = 0
         for job in jobs:
             keys = set()
-            enumerate_job(c, job, lambda chosen, counts: keys.add(counts & KEY_MASK[4]))
+            enumerate_job(c, job, lambda present, counts: keys.add(counts & KEY_MASK[4]))
             distinct += len(keys)
             failing_jobs += any(not fail_at_bound(t, a) for _, _, _, t, a in (split_counts(4, k) for k in keys))
         # families that share keys within a job, against 353 distinct counter values
@@ -474,6 +474,27 @@ run_campaign(EnumerationConstraints(4, 1), workers=2)
         text = ck.read_text()
         assert text.startswith(OLD_N4T2_CHECKPOINT)
         assert text.count("# agg ") == len(subtree_jobs(c))
+
+    def test_record_of_families_for_an_empty_job_refused(self, tmp_path, capsys):
+        # job 2 of n=5 t=3 up to iso has no family; a record that counts some
+        # for it is bad input, while a zero-count one, as older labelled runs
+        # wrote for their empty jobs, is kept and the run resumes
+        c = EnumerationConstraints(5, 3, up_to_iso=True)
+        assert 2 not in subtree_jobs(c)
+        ck = tmp_path / "run.ck"
+        args = ["verify", "--n", "5", "--t", "3", "--up-to-iso", "--workers", "1", "--checkpoint", str(ck)]
+        header = verifier._header_line(verifier._checkpoint_header(c, ("frankl", "s_frankl")))
+        claimed = header + '# agg {"job": 2, "count": 7, "by_t": {"3": 7}, "by_shape": {}, "failures": []}\n'
+        ck.write_text(claimed)
+        with pytest.raises(PreconditionViolation, match="line 2: job 2 has no families"):
+            run_campaign(c, checkpoint=str(ck))
+        assert main(args) == 2
+        assert "line 2: job 2 has no families" in capsys.readouterr().err
+        assert ck.read_text() == claimed
+        empty = header + '# agg {"job": 2, "count": 0, "by_t": {}, "by_shape": {}, "failures": []}\n'
+        ck.write_text(empty)
+        assert run_campaign(c, checkpoint=str(ck)).body_bytes() == run_campaign(c).body_bytes()
+        assert ck.read_text().startswith(empty)
 
     def test_fresh_iso_checkpoint_records_only_nonempty_jobs(self, tmp_path):
         c = EnumerationConstraints(6, 4, up_to_iso=True)
