@@ -57,18 +57,19 @@ step passes every node and both modes share one walk.
 
 Next to the chosen candidates the walk carries one int of counters
 that do not change under relabeling, one byte per lane: per-element
-abundance margins 0x80 + 2 freq(e) - m, per-size member counts (T(F) is
-the smallest nonempty size) and the member count m.  Accepting a member
+abundance margins 0x80 + 2 freq(e) - m and per-size member counts (T(F)
+is the smallest nonempty size, and m is their sum).  Accepting a member
 adds its precomputed column, which adds 1 to the margins of its
-elements and takes 1 from the others.  An element is abundant iff its
-margin keeps its top bit, so counts & KEY_MASK[n], the margins' top bits
-and the size counts, is all a verdict reads: T(F), the number of
-abundant elements and the shape.  ``split_counts`` reads the counters,
-or such a key, back.  ``enumerate_job`` hands a visit the bitmask and
-the counters, or counts a job's families per key into a tally dict
-inside the walk, with no call per family: a campaign checks each
-distinct key once and builds only failing families.
-``enumerate_families`` hands its visit E(F) keys and builds none.
+elements, takes 1 from the others and adds 1 to its size's count.  An
+element is abundant iff its margin keeps its top bit, so counts &
+KEY_MASK[n], the margins' top bits and the size counts, is all a
+verdict reads: T(F), the number of abundant elements and the shape.
+``split_counts`` reads the counters, or such a key, back.
+``enumerate_job`` hands a visit the bitmask and the counters, or counts
+a job's families per key into a tally dict inside the walk, with no
+call per family: a campaign checks each distinct key once and builds
+only failing families.  ``enumerate_families`` hands its visit E(F)
+keys and builds none.
 
 A family's key is the bitset E(F) = sum(2^(2^n - 1 - m)) over its
 members m.  As every family holds M_n, keys in descending order list
@@ -76,11 +77,12 @@ the member tuples in ascending order.  The search keeps a different
 representative per orbit than the public canonical_form, the image of
 largest E: node_family and canonical_form take that maximum over a
 precomputed (2^n, n!) table of uint64 lanes, one per permutation, and
-decode it.  enumerate_families walks the campaign's jobs and keeps
-those lanes per depth, seeded with {}, M_n and the job's prefix: a
-node's lanes are its parent's OR the row of its last member, so a class
-costs one OR and one argmax, and a labelled family one int OR.  64-bit
-lanes hold E while 2^n <= 64, so canonical forms stop at n = 6.
+decode it.  enumerate_families walks the campaign's jobs, and
+_job_keys keeps those lanes per depth, seeded with {}, M_n and the
+job's prefix: a node's lanes are its parent's OR the row of its last
+member, so a class costs one OR and one argmax, and a labelled family
+one int OR.  64-bit lanes hold E while 2^n <= 64, so canonical forms
+stop at n = 6.
 
 numpy is imported only by the oracle and by canonical forms (their
 table is built on first use, by each pool worker); counting, counter
@@ -206,7 +208,7 @@ def canonical_form(family: SetFamily) -> SetFamily:
     return SetFamily(n, tuple(full - b for b in range(full, -1, -1) if key >> b & 1))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=None)
 def _orbit(n: int, pool: tuple[Mask, ...], lanes: tuple[int, ...]) -> _Orbit:
     """The packed orbit test over the permutations lanes (indices into
     _perms(n)): (lanes, per-member increments, bias bits).
@@ -235,9 +237,9 @@ def _orbit(n: int, pool: tuple[Mask, ...], lanes: tuple[int, ...]) -> _Orbit:
 
 def _member_counts(mask: Mask, n: int) -> int:
     """The column a member mask adds to the packed counters (see
-    split_counts): 1 to the margins of its elements, -1 to the others',
-    1 to its size's count and 1 to m."""
-    lanes = [0] * (n + 1) + [1]
+    split_counts): 1 to the margins of its elements, -1 to the others'
+    and 1 to its size's count."""
+    lanes = [0] * (n + 1)
     lanes[mask.bit_count()] = 1
     margins = sum((1 if mask >> b & 1 else -1) << 8 * b for b in range(n))
     return (int.from_bytes(bytes(lanes), "little") << 8 * n) + margins
@@ -251,7 +253,7 @@ def _family_counts(masks: Sequence[Mask], n: int) -> int:
 # the top bit of each of the n margin bytes, per n: the margins' bias
 _HIGH = tuple(int.from_bytes(b"\x80" * n, "little") for n in range(MAX_ENUM_GROUND + 1))
 # the bits of the counters a verdict reads, per n: the margins' top bits
-# and the size counts; m and the margins' low bits are dropped
+# and the size counts; the margins' low bits are dropped
 KEY_MASK = tuple(high | ((1 << 8 * (n + 1)) - 1) << 8 * n for n, high in enumerate(_HIGH))
 
 
@@ -259,19 +261,19 @@ def split_counts(n: int, counts: int) -> tuple[int, int, int, int, int]:
     """(m, freq, levels, t, a) from the packed counters of a family over M_n.
 
     counts holds one byte per lane: byte e-1 holds the abundance margin
-    0x80 + 2 freq(e) - m of element e, byte n+k the members of size k, and
-    the bytes from 2n+1 on hold the member count m.  freq and levels keep
-    their lanes (byte e-1, byte k), t is T(F), the smallest k >= 1 with a
-    member of size k, or 0 without a nonempty member, and a counts the
-    abundant elements, those in at least half of the m members, whose
-    margins keep their top bit.  A family over M_n has at most 2^n <= 64
-    members for enumerable n, so every margin stays in 0x40..0xC0.  On a
-    key, counts & KEY_MASK[n], levels, t and a are the counters' own.
+    0x80 + 2 freq(e) - m of element e and byte n+k the members of size k,
+    so m is the sum of bytes n..2n.  freq and levels keep their lanes
+    (byte e-1, byte k), t is T(F), the smallest k >= 1 with a member of
+    size k, or 0 without a nonempty member, and a counts the abundant
+    elements, those in at least half of the m members, whose margins keep
+    their top bit.  A family over M_n has at most 2^n <= 64 members for
+    enumerable n, so every margin stays in 0x40..0xC0.  On a key, counts &
+    KEY_MASK[n], m, levels, t and a are the counters' own.
     """
     lane = 8 * n
-    m = counts >> (2 * lane + 8)
     margins = counts & ((1 << lane) - 1)
-    levels = counts >> lane & ((1 << (lane + 8)) - 1)
+    levels = counts >> lane
+    m = sum(levels.to_bytes(n + 1, "little"))
     above = levels >> 8
     high = _HIGH[n]
     freq = (margins - high + m * (high >> 7)) >> 1
@@ -350,37 +352,6 @@ def node_family(c: EnumerationConstraints, present: int) -> SetFamily:
     return family
 
 
-def _key_emit(c: EnumerationConstraints, job: int, visit: Visit) -> CounterVisit:
-    """A counter visit for enumerate_job(c, job) that hands visit each
-    node's key, E(node_family(c, present)).
-
-    In preorder, lanes[d - 1] holds a depth-d node's parent's key, or up
-    to isomorphism its E under each permutation, whose largest is the
-    key, when it is visited.  The job's first visit is its root, the node
-    of its prefix, the k set bits of job, at depth k, so depths 1..k-1
-    are seeded from the prefix; depth 0 holds {} and M_n.  Positions are
-    chosen ascending: present's bit count is the depth, its top bit the
-    last member.
-    """
-    ctx, full = _search_context(c), full_mask(c.n)
-    rows, root, hand = [1 << full - m for m in ctx.pool], 1 << full | 1, visit
-    if c.up_to_iso:
-        powers = _comp_powers(c.n)
-        rows, root = [powers[m] for m in ctx.pool], powers[0] | powers[full]
-        hand = lambda lane: visit(lane.item(lane.argmax()))  # noqa: E731
-    lanes = [root] * (ctx.size + 1)  # replaced per depth, never written in place
-    for d, p in enumerate([i for i in range(job.bit_length()) if job >> i & 1][:-1], start=1):
-        lanes[d] = lanes[d - 1] | rows[p]
-
-    def emit(present: int, counts: int) -> None:
-        d = present.bit_count()
-        if d:
-            lanes[d] = lanes[d - 1] | rows[present.bit_length() - 1]
-        hand(lanes[d])
-
-    return emit
-
-
 def _stabilizer(ctx: _Search, orbit: _Orbit, enc: int) -> _Orbit:
     """The orbit test kept below a level: the lanes of enc at exactly their
     bias, the permutations that fix the chosen family, restarted at bias."""
@@ -455,7 +426,7 @@ def _walk(ctx: _Search, visit: CounterVisit | None, viable: int, prefix: int = 0
 
 def enumerate_families(
     c: EnumerationConstraints,
-    visit: Visit | None = None,
+    visit: Visit,
     *,
     unbounded: bool = False,
     workers: int = 1,
@@ -465,14 +436,11 @@ def enumerate_families(
 
     Keys arrive job by job in subtree_jobs order, each job's descending,
     so the stream is the same for any workers >= 1; more than one runs the
-    jobs on a pool (see map_jobs).  Without a visit, one serial walk counts.
+    jobs on a pool (see map_jobs).
     """
     if workers < 1:
         raise PreconditionViolation(f"workers must be at least 1, got {workers}")
     ensure_enumerable(c, unbounded)
-    if visit is None:
-        ctx = _search_context(c)
-        return _walk(ctx, None, (1 << ctx.size) - 1)
     count = 0
     with ExitStack() as stack:
         for keys in map_jobs(stack, _job_keys, [(c, job) for job in subtree_jobs(c)], workers):
@@ -532,10 +500,36 @@ def enumerate_job(
 
 
 def _job_keys(payload: tuple) -> list[int]:
-    """The keys of one job's families, descending; payload is (c, job)."""
+    """The keys of enumerate_job(c, job)'s families, E(node_family(c,
+    present)), descending; payload is (c, job).
+
+    In preorder, lanes[d - 1] holds a depth-d node's parent's key, or up
+    to isomorphism its E under each permutation, whose largest is the
+    key, when it is visited.  The job's first visit is its root, the node
+    of its prefix, the k set bits of job, at depth k, so depths 1..k-1
+    are seeded from the prefix; depth 0 holds {} and M_n.  Positions are
+    chosen ascending: present's bit count is the depth, its top bit the
+    last member.
+    """
     c, job = payload
+    ctx, full = _search_context(c), full_mask(c.n)
     keys: list[int] = []
-    enumerate_job(c, job, _key_emit(c, job, keys.append))
+    rows, root, hand = [1 << full - m for m in ctx.pool], 1 << full | 1, keys.append
+    if c.up_to_iso:
+        powers = _comp_powers(c.n)
+        rows, root = [powers[m] for m in ctx.pool], powers[0] | powers[full]
+        hand = lambda lane: keys.append(lane.item(lane.argmax()))  # noqa: E731
+    lanes = [root] * (ctx.size + 1)  # replaced per depth, never written in place
+    for d, p in enumerate([i for i in range(job.bit_length()) if job >> i & 1][:-1], start=1):
+        lanes[d] = lanes[d - 1] | rows[p]
+
+    def emit(present: int, counts: int) -> None:
+        d = present.bit_count()
+        if d:
+            lanes[d] = lanes[d - 1] | rows[present.bit_length() - 1]
+        hand(lanes[d])
+
+    enumerate_job(c, job, emit)
     keys.sort(reverse=True)
     return keys
 

@@ -144,10 +144,6 @@ def lex_least_max_matching(masks: list[int], target: int) -> tuple[tuple[tuple[i
     return pairs, residue
 
 
-def count_containing(family: SetFamily, element: int) -> int:
-    return sum(1 for s in as_sets(family) if element in s)
-
-
 def mask_lanes(n: int, encoded: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """Per-member increments of a packed orbit test over full-width mask
     encodings, and its bias bits.

@@ -134,14 +134,15 @@ class TestCounters:
     def test_verdict_keys_read_as_their_counters(self):
         # every distinct counter value the walks visit, at n <= 5 in both
         # modes and at n=6 t >= 4: its key, counts & KEY_MASK[n], reads the
-        # same levels, T and abundant count, all a verdict needs
+        # same m, levels, T and abundant count, all a verdict needs
         configs = [(n, t) for n in range(2, 6) for t in range(1, n + 1)] + [(6, t) for t in range(4, 7)]
         for (n, t), iso in itertools.product(configs, (False, True)):
             ctx = enumeration._search_context(EnumerationConstraints(n, t, up_to_iso=iso))
             values: set[int] = set()
             enumeration._walk(ctx, lambda present, counts: values.add(counts), (1 << ctx.size) - 1)
             for counts in values:
-                assert split_counts(n, counts & KEY_MASK[n])[2:] == split_counts(n, counts)[2:], (n, t, iso, counts)
+                key, value = split_counts(n, counts & KEY_MASK[n]), split_counts(n, counts)
+                assert (key[0], *key[2:]) == (value[0], *value[2:]), (n, t, iso, counts)
 
     def test_walk_tally_is_the_tally_of_its_visits(self):
         # every job of the walks at n <= 5 in both modes and at n=6 t >= 4:
@@ -297,7 +298,17 @@ class TestPackedOrbitTest:
         assert ctx.orbit == ((), (0,) * ctx.size, 0)
         assert ctx.lower == (0,) * ctx.size
         monkeypatch.setattr(enumeration, "_search_context", lambda constraints: ctx)
-        assert enumerate_families(c) == 241805
+        assert sum(enumerate_job(c, job) for job in subtree_jobs(c)) == 241805
+
+    def test_a_flagship_pass_builds_each_lane_set_once(self):
+        # every stabilizer a serial pass over the flagship jobs switches to
+        # stays cached: 78 lane sets, the root's among them, each built once
+        enumeration._search_context.cache_clear()
+        enumeration._orbit.cache_clear()
+        c = EnumerationConstraints(6, 3, up_to_iso=True)
+        assert sum(enumerate_job(c, job) for job in subtree_jobs(c)) == 415282
+        info = enumeration._orbit.cache_info()
+        assert info.misses == info.currsize == 78, info
 
 
 def old_packing(n: int, counts: int) -> int:
