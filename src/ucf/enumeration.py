@@ -20,10 +20,13 @@ closure is a pure look-back test, and each accepted prefix is itself a
 complete union-closed family.  The test reads a union table grouped by
 union: for candidate p it lists each earlier candidate u together with
 the bitmask of the later candidates whose union with p is u, so
-accepting p keeps the candidates after it and drops each group whose u
-is absent.  An ascending-order walk, where closure propagates forward as
-forced candidates, lives in tests/oracles.py as an independent
-cross-check of the counts.
+accepting p keeps the candidates after it in p's closure mask, less
+each group whose u is absent.  Size-major, every u is larger than p and
+between two level switches (below) the walk adds members of one size
+only, so it keeps each mask from its first use to the next switch; a
+labelled walk has no levels and filters each child afresh.  An
+ascending-order walk, where closure propagates forward as forced
+candidates, lives in tests/oracles.py as an independent cross-check.
 
 Isomorph rejection is canonical augmentation.  Relabeling keeps sizes,
 so it maps the pool onto itself; a candidate's rank is len(pool) - 1 -
@@ -287,7 +290,7 @@ class _Search:
     n: int
     pool: tuple[Mask, ...]
     # groups[p]: (2^u, ~qs) pairs, qs the later candidates whose union with
-    # pool[p] is the strict superset pool[u] (an earlier candidate)
+    # pool[p] is the strict superset pool[u]; ANDing the ~qs of the absent u gives p's closure mask
     groups: tuple[tuple[tuple[int, int], ...], ...]
     # cols[p]: pool[p]'s counter column; base: the counters of the family
     # with no candidate chosen, so a node's counters are base plus its columns
@@ -367,30 +370,27 @@ def _walk(ctx: _Search, visit: CounterVisit | None, viable: int, prefix: int = 0
     """Count the nodes of the walk over the viable candidates, handing visit
     each node's bitmask of chosen positions and packed counters in preorder.
 
-    prefix: a job's candidates, which the walk is forced through; a node
-    with one of them not yet chosen lies on the way to the job's root: not
-    visited or counted, its only child the next.  A child off the prefix
-    with no viable candidate after it is a leaf, visited and counted in
-    its parent's loop without a call of its own.  tally, a dict, gets 1
-    added at counts & KEY_MASK[n] for every node counted."""
-    cols, lowers, groups = ctx.cols, ctx.lower, ctx.groups
+    prefix: a job's candidates, chosen in a flat loop before the recursion
+    starts at the job's root; the nodes on the way are not visited or
+    counted, and the walk is empty where one of them fails.  A child with
+    no viable candidate after it is a leaf, visited and counted in its
+    parent's loop without a call of its own.  tally, a dict, gets 1 added
+    at counts & KEY_MASK[n] for every node counted."""
+    cols, lowers, groups, size = ctx.cols, ctx.lower, ctx.groups, ctx.size
     key_mask = KEY_MASK[ctx.n]
+    cache = any(lowers)  # a labelled context adds members of every size between two nodes
 
-    # lower: ctx.lower of the last member, 0 at the root
-    def node(present: int, viable: int, enc: int, counts: int, orbit: _Orbit, lower: int, prefix: int) -> int:
-        if prefix:
-            count = 0
-            rem = prefix & -prefix & viable
-        else:
-            # every node is a complete family: unions of accepted masks are
-            # earlier candidates, hence already decided and present
-            if visit is not None:
-                visit(present, counts)
-            if tally is not None:
-                key = counts & key_mask
-                tally[key] = tally.get(key, 0) + 1
-            count = 1
-            rem = viable
+    # lower: ctx.lower of the last member, 0 at the root; masks[p]: p's closure mask, kept from the last switch
+    def node(present: int, viable: int, enc: int, counts: int, orbit: _Orbit, lower: int, masks: list) -> int:
+        # every node is a complete family: unions of accepted masks are
+        # earlier candidates, hence already decided and present
+        if visit is not None:
+            visit(present, counts)
+        if tally is not None:
+            key = counts & key_mask
+            tally[key] = tally.get(key, 0) + 1
+        count = 1
+        rem = viable
         _, steps, high = orbit
         while rem:
             low = rem & -rem
@@ -400,18 +400,22 @@ def _walk(ctx: _Search, visit: CounterVisit | None, viable: int, prefix: int = 0
                 # the first child below the last member's size: see the module docstring
                 orbit = _stabilizer(ctx, orbit, enc)
                 _, steps, high = orbit
-                enc, lower = high, 0
+                enc, lower, masks = high, 0, [None] * size
             enc2 = enc + steps[p]
             if enc2 & high != high:
                 continue
-            # the viable candidates after p, less those whose union with pool[p]
-            # is absent; off a prefix, rem holds exactly the viable ones after p
-            after = viable >> (p + 1) << (p + 1) if prefix else rem
-            for bit, nq in groups[p]:
-                if not present & bit:
-                    after &= nq
-            if after or prefix:
-                count += node(present | low, after, enc2, counts + cols[p], orbit, lowers[p], prefix and prefix ^ low)
+            mask = masks[p]
+            if mask is None:
+                # drop the later candidates whose union with pool[p] is absent
+                mask = -1
+                for bit, nq in groups[p]:
+                    if not present & bit:
+                        mask &= nq
+                if cache:
+                    masks[p] = mask
+            after = rem & mask  # rem holds exactly the viable candidates after p
+            if after:
+                count += node(present | low, after, enc2, counts + cols[p], orbit, lowers[p], masks)
             else:
                 if visit is not None:
                     visit(present | low, counts + cols[p])
@@ -421,7 +425,23 @@ def _walk(ctx: _Search, visit: CounterVisit | None, viable: int, prefix: int = 0
                 count += 1
         return count
 
-    return node(0, viable, ctx.orbit[2], ctx.base, ctx.orbit, 0, prefix)
+    present, enc, counts, orbit, lower = 0, ctx.orbit[2], ctx.base, ctx.orbit, 0
+    for p in [i for i in range(prefix.bit_length()) if prefix >> i & 1]:
+        low = 1 << p
+        if not viable & low:
+            return 0
+        if low & lower:
+            orbit = _stabilizer(ctx, orbit, enc)
+            enc, lower = orbit[2], 0
+        enc += orbit[1][p]
+        if enc & orbit[2] != orbit[2]:
+            return 0
+        viable = viable >> (p + 1) << (p + 1)
+        for bit, nq in groups[p]:
+            if not present & bit:
+                viable &= nq
+        present, counts, lower = present | low, counts + cols[p], lowers[p]
+    return node(present, viable, enc, counts, orbit, lower, [None] * size)
 
 
 def enumerate_families(
@@ -485,8 +505,8 @@ def enumerate_job(
     """Enumerate one subtree, job < 2^job_depth(c); summing over
     subtree_jobs(c) equals the full count.
 
-    A job is the walk from the root forced through its prefix, the
-    candidates i < job_depth(c) with bit i of job set; the others below
+    A job is the walk through its prefix, the candidates i < job_depth(c)
+    with bit i of job set, chosen before the recursion; the others below
     the depth are never viable.  So an invalid prefix costs nothing, no
     family is visited by two jobs, and the visit gets each family's
     bitmask of chosen positions and packed counters in the walk's order,

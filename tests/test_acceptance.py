@@ -63,8 +63,8 @@ def test_criterion_1_main_theorem_exhaustive_n6_t3(tmp_path, interrupt_at_job):
     emptyset, M_6 in F and T(F) = 3 is visited, with zero failures of
     the at-least-three-abundant-elements statement.  The run is
     interrupted at its middle job and resumed from its checkpoint to
-    prove resumability; a single core finished it in 0.46 to 0.65 s in
-    nine runs on a shared 2-vCPU Intel Xeon VM (Python 3.11.7), far
+    prove resumability; a single core finished it in 0.41 to 0.69 s in
+    eighteen runs on a shared 2-vCPU Intel Xeon VM (Python 3.11.7), far
     inside the 8-worker hour."""
     c = EnumerationConstraints(6, 3, up_to_iso=True)
     checkpoint = str(tmp_path / "flagship.ck")

@@ -243,6 +243,8 @@ class TestPackedOrbitTest:
         # the rank lanes cut to the stabilizer's below each level visit the
         # same jobs, and the same nodes in the same order, as all n! lanes
         # kept to the end; a context with no lower levels never switches
+        # and caches no closure mask, so the masks kept from a switch to
+        # the next are checked against masks computed afresh per child too
         c = EnumerationConstraints(n, t, up_to_iso=True)
         switching = enumeration._search_context(c)
         stabilizer = enumeration._stabilizer
@@ -309,6 +311,31 @@ class TestPackedOrbitTest:
         assert sum(enumerate_job(c, job) for job in subtree_jobs(c)) == 415282
         info = enumeration._orbit.cache_info()
         assert info.misses == info.currsize == 78, info
+
+    def test_closure_masks_are_computed_once_per_level(self, monkeypatch):
+        # up to iso a closure mask is kept from its first use after a switch
+        # to the next switch: a serial flagship pass reads 8,120 union groups
+        # (416,329 when every child read its own).  A labelled walk has no
+        # levels and reads one per accepted child or prefix step, 243,462 at n=5 t=2
+        class Counting(tuple):
+            calls = 0
+
+            def __getitem__(self, p):
+                Counting.calls += 1
+                return tuple.__getitem__(self, p)
+
+        search_context = enumeration._search_context
+        for c, families, lookups in (
+            (EnumerationConstraints(6, 3, up_to_iso=True), 415282, 8120),
+            (EnumerationConstraints(5, 2), 241805, 243462),
+        ):
+            jobs = subtree_jobs(c)
+            counting = dataclasses.replace(search_context(c), groups=Counting(search_context(c).groups))
+            with monkeypatch.context() as patch:
+                patch.setattr(enumeration, "_search_context", lambda constraints: counting)
+                Counting.calls = 0
+                assert sum(enumerate_job(c, job) for job in jobs) == families
+            assert Counting.calls == lookups, c
 
 
 def old_packing(n: int, counts: int) -> int:
