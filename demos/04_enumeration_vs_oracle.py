@@ -31,9 +31,9 @@ def key_family(n: int, key: int) -> SetFamily:
 
 c = EnumerationConstraints(n=4, t=2)
 
-# enumerate_families hands out each family's key, one int
+# enumerate_families hands out each job's keys, one int per family
 search: list = []
-count = enumerate_families(c, lambda key: search.append(key_family(c.n, key)))
+count = enumerate_families(c, lambda keys: search.extend(key_family(c.n, key) for key in keys))
 oracle = brute_force_enumerate(c)
 print(f"n=4, t=2: search {count}, oracle {len(oracle)}")
 assert Counter(f.members for f in search) == Counter(f.members for f in oracle)
@@ -42,7 +42,7 @@ print("family multisets agree")
 # collapse to one representative per relabeling orbit
 c_iso = EnumerationConstraints(n=4, t=2, up_to_iso=True)
 classes: list = []
-enumerate_families(c_iso, lambda key: classes.append(key_family(c_iso.n, key)))
+enumerate_families(c_iso, lambda keys: classes.extend(key_family(c_iso.n, key) for key in keys))
 print(f"isomorphism classes: {len(classes)}")
 # a canonical form is hashable and names its orbit, so it is the key
 keys = [canonical_form(f) for f in classes]

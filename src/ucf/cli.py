@@ -10,9 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import struct
 import sys
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .core import full_mask, union_closure
 from .enumeration import (
@@ -24,6 +23,9 @@ from .enumeration import (
 from .errors import ParseError, PreconditionViolation, UcfError
 from .fileformat import format_family, parse_family
 from .verifier import CHECK_NAMES, check_single, run_campaign
+
+if TYPE_CHECKING:  # imported where a listing runs, not with ucf.cli, whose import time it would add to
+    from array import array
 
 
 def _read_family(path: str):
@@ -53,25 +55,26 @@ def _write(out: str | None, chunks: Iterable[str]) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _write_listing(keys: list[int], n: int, out: str | None) -> None:
-    """Print count=, then write the families of keys over {1..n} (see ucf.enumeration)
-    one line each in member-tuple order, descending key order, a chunk at a time."""
-    keys.sort(reverse=True)
+def _write_listing(keys: array, n: int, out: str | None) -> None:
+    """Print count=, then write the families of keys, an array('Q') sorted ascending, over {1..n}
+    (see ucf.enumeration) one line each in member-tuple order, a chunk at a time from the end."""
     full = full_mask(n)
-    # t0..t7[v]: "a,b," for the members set in v as key byte 0..7 from the top; bit b is mask full - b
+    # reversed, a chunk's native bytes list its keys descending, big-endian on a little-endian host
+    shifts = range(56, -8, -8) if sys.byteorder == "little" else range(0, 64, 8)
+    # t0..t7[v]: "a,b," for the members set in v as the key byte at shift k; bit b is mask full - b
     t0, t1, t2, t3, t4, t5, t6, t7 = [
         ["".join([f"{full - b}," for b in range(k + 7, k - 1, -1) if v >> b - k & 1]) for v in range(256)]
-        for k in range(56, -8, -8)
+        for k in shifts
     ]
 
-    def render(chunk: list[int]) -> str:
-        data = struct.pack(f">{len(chunk)}Q", *chunk)
+    def render(stop: int) -> str:
+        data = keys[max(0, stop - _LINES_PER_WRITE) : stop].tobytes()[::-1]
         rows = zip(*[data[i::8] for i in range(8)])
         text = "".join([f"{t0[a]}{t1[b]}{t2[c]}{t3[d]}{t4[e]}{t5[f]}{t6[g]}{t7[h]}\n" for a, b, c, d, e, f, g, h in rows])
         return text.replace(",\n", "\n")  # each line's last member has a comma
 
     _write(None, [f"count={len(keys)}\n"])
-    _write(out, (render(keys[i : i + _LINES_PER_WRITE]) for i in range(0, len(keys), _LINES_PER_WRITE)))
+    _write(out, (render(stop) for stop in range(len(keys), 0, -_LINES_PER_WRITE)))
 
 
 def _resolve_workers(args) -> int:
@@ -120,17 +123,28 @@ def cmd_closure(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from array import array
+
     c = EnumerationConstraints(args.n, args.t, up_to_iso=args.up_to_iso)
-    keys: list[int] = []
-    enumerate_families(c, keys.append, unbounded=args.unbounded, workers=_resolve_workers(args))
+    keys = array("Q")
+    enumerate_families(c, keys.extend, unbounded=args.unbounded, workers=_resolve_workers(args))
+    if c.up_to_iso:  # its key table loaded numpy: sort in place through a view
+        import numpy as np
+
+        np.frombuffer(keys, np.uint64).sort()
+    else:
+        keys = array("Q", sorted(keys))
     _write_listing(keys, c.n, args.out)
     return 0
 
 
 def cmd_oracle(args) -> int:
+    from array import array
+
     c = EnumerationConstraints(args.n, args.t, up_to_iso=args.up_to_iso)
     full = full_mask(c.n)
-    _write_listing([sum([1 << full - m for m in f.members]) for f in brute_force_enumerate(c)], c.n, args.out)
+    keys = sorted([sum([1 << full - m for m in f.members]) for f in brute_force_enumerate(c)])
+    _write_listing(array("Q", keys), c.n, args.out)
     return 0
 
 

@@ -71,8 +71,8 @@ verdict reads: T(F), the number of abundant elements and the shape.
 ``enumerate_job`` hands a visit the bitmask and the counters, or counts
 a job's families per key into a tally dict inside the walk, with no
 call per family: a campaign checks each distinct key once and builds
-only failing families.  ``enumerate_families`` hands its visit E(F)
-keys and builds none.
+only failing families.  ``enumerate_families`` hands its visit each
+job's E(F) keys as one run of 8-byte ints and builds no family.
 
 A family's key is the bitset E(F) = sum(2^(2^n - 1 - m)) over its
 members m.  As every family holds M_n, keys in descending order list
@@ -87,9 +87,10 @@ member, so a class costs one OR and one argmax, and a labelled family
 one int OR.  64-bit lanes hold E while 2^n <= 64, so canonical forms
 stop at n = 6.
 
-numpy is imported only by the oracle and by canonical forms (their
-table is built on first use, by each pool worker); counting, counter
-visits, labelled listings and campaigns run without it.
+numpy is imported only by the oracle and by canonical forms: an
+up-to-iso listing builds their table before its pool forks, so the
+workers inherit both; counting, counter visits, labelled listings and
+campaigns run without it.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ import itertools
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .core import (
     MAX_GROUND_SIZE,
@@ -109,12 +110,15 @@ from .core import (
 )
 from .errors import InfeasibleScale, PreconditionViolation
 
+if TYPE_CHECKING:  # imported where a listing runs, not with ucf, whose import time it would add to
+    from array import array
+
 MAX_ENUM_GROUND = 6
 MAX_CANONICAL_GROUND = 6
 BRUTE_FORCE_POOL_CAP = 22
 
-# visit(key): key is E(F) of one family, see the module docstring
-Visit = Callable[[int], None]
+# visit(keys): one job's E(F) keys (see the module docstring), descending, in an array('Q')
+Visit = Callable[["array"], None]
 # visit(present, counts): bit p of present is set iff the family holds
 # pool[p]; counts packs its counters, see split_counts
 CounterVisit = Callable[[int, int], None]
@@ -451,22 +455,22 @@ def enumerate_families(
     unbounded: bool = False,
     workers: int = 1,
 ) -> int:
-    """Hand visit the key E(F) of every family F satisfying c, in
-    up_to_iso mode of its orbit's canonical_form; return the count.
-
-    Keys arrive job by job in subtree_jobs order, each job's descending,
-    so the stream is the same for any workers >= 1; more than one runs the
-    jobs on a pool (see map_jobs).
+    """Hand visit each job's _job_keys run, the keys E(F) of its families
+    F satisfying c (up_to_iso: of their canonical_form), in subtree_jobs
+    order, so the stream is the same for any workers >= 1; more than one
+    runs the jobs on a pool (see map_jobs), whose workers inherit the key
+    table, built first.  Return the count.
     """
     if workers < 1:
         raise PreconditionViolation(f"workers must be at least 1, got {workers}")
     ensure_enumerable(c, unbounded)
+    if c.up_to_iso:
+        _comp_powers(c.n)
     count = 0
     with ExitStack() as stack:
         for keys in map_jobs(stack, _job_keys, [(c, job) for job in subtree_jobs(c)], workers):
             count += len(keys)
-            for key in keys:
-                visit(key)
+            visit(keys)
     return count
 
 
@@ -519,9 +523,10 @@ def enumerate_job(
     return _walk(ctx, visit, (1 << ctx.size) - (1 << job_depth(c)) | job, job, tally)
 
 
-def _job_keys(payload: tuple) -> list[int]:
+def _job_keys(payload: tuple) -> array:
     """The keys of enumerate_job(c, job)'s families, E(node_family(c,
-    present)), descending; payload is (c, job).
+    present)), descending in one array('Q'), 8 bytes a key that pickle
+    as one buffer; payload is (c, job).
 
     In preorder, lanes[d - 1] holds a depth-d node's parent's key, or up
     to isomorphism its E under each permutation, whose largest is the
@@ -531,9 +536,11 @@ def _job_keys(payload: tuple) -> list[int]:
     chosen ascending: present's bit count is the depth, its top bit the
     last member.
     """
+    from array import array
+
     c, job = payload
     ctx, full = _search_context(c), full_mask(c.n)
-    keys: list[int] = []
+    keys = array("Q") if c.up_to_iso else []
     rows, root, hand = [1 << full - m for m in ctx.pool], 1 << full | 1, keys.append
     if c.up_to_iso:
         powers = _comp_powers(c.n)
@@ -550,7 +557,13 @@ def _job_keys(payload: tuple) -> list[int]:
         hand(lanes[d])
 
     enumerate_job(c, job, emit)
-    keys.sort(reverse=True)
+    if not c.up_to_iso:  # numpy stays unloaded
+        keys.sort(reverse=True)
+        return array("Q", keys)
+    import numpy as np
+
+    np.frombuffer(keys, np.uint64).sort()
+    keys.reverse()
     return keys
 
 

@@ -53,7 +53,7 @@ N5_T2_BODY_SHA256 = "15c90b5867206ac97eae1acdaf4f4e020c9f42261f5c33fefbe60caf83f
 
 def collect(c: EnumerationConstraints) -> list[SetFamily]:
     out: list[SetFamily] = []
-    n = enumerate_families(c, lambda key: out.append(key_family(c.n, key)))
+    n = enumerate_families(c, lambda keys: out.extend(key_family(c.n, key) for key in keys))
     assert n == len(out)
     return out
 

@@ -6,6 +6,7 @@ import itertools
 import os
 import subprocess
 import sys
+from array import array
 from collections import Counter
 
 import pytest
@@ -49,7 +50,7 @@ KNOWN_COUNTS = {
 
 def collect(c: EnumerationConstraints) -> list[SetFamily]:
     out: list[SetFamily] = []
-    n = enumerate_families(c, lambda key: out.append(key_family(c.n, key)))
+    n = enumerate_families(c, lambda keys: out.extend(key_family(c.n, key) for key in keys))
     assert n == len(out)
     return out
 
@@ -149,7 +150,7 @@ def listing(n: int, keys: list[int]) -> list[str]:
     """The lines ucf.cli writes for keys, count= first."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._write_listing(keys, n, None)
+        cli._write_listing(array("Q", sorted(keys)), n, None)
     return out.getvalue().splitlines()
 
 
@@ -231,14 +232,14 @@ class TestEnumerateFamilies:
                 assert node_family(c, present) == family
             return
         # enumerate_families hands out each job's keys in descending order,
-        # job by job in subtree_jobs order
+        # one run per job in subtree_jobs order
         expected: list[int] = []
         for job in subtree_jobs(c):
             nodes: list[int] = []
             enumerate_job(c, job, lambda present, counts: nodes.append(present))
             expected += sorted((family_key(node_family(c, present)) for present in nodes), reverse=True)
         keys: list[int] = []
-        assert enumerate_families(c, keys.append) == len(expected)
+        assert enumerate_families(c, keys.extend) == len(expected)
         assert keys == expected
 
     def test_iso_collapses_raw_orbits_exactly(self):
@@ -266,15 +267,19 @@ class TestEnumerateFamilies:
             nodes: list[int] = []
             enumerate_job(c, job, lambda present, counts: nodes.append(present))
             expected = sorted((family_key(node_family(c, present)) for present in nodes), reverse=True)
-            assert enumeration._job_keys((c, job)) == expected, job
+            keys = enumeration._job_keys((c, job))
+            # a run of 8-byte ints pickles as one buffer; distinct classes, so strictly descending
+            assert isinstance(keys, array) and keys.itemsize == 8, job
+            assert all(a > b for a, b in zip(keys, keys[1:])), job
+            assert list(keys) == expected, job
 
     @pytest.mark.parametrize("n,t,iso", [(5, 2, False), (5, 3, True)])
     def test_visit_stream_is_the_same_on_a_pool(self, n, t, iso):
         c = EnumerationConstraints(n, t, up_to_iso=iso)
         streams = []
         for workers in (1, 2):
-            keys: list[int] = []
-            assert enumerate_families(c, keys.append, workers=workers) == KNOWN_COUNTS[(n, t)][iso]
+            keys = array("Q")
+            assert enumerate_families(c, keys.extend, workers=workers) == KNOWN_COUNTS[(n, t)][iso]
             streams.append(keys)
         assert streams[0] == streams[1]
 

@@ -176,7 +176,7 @@ class TestCounters:
     def test_counter_visit_matches_family_visit(self):
         c = EnumerationConstraints(5, 3, up_to_iso=True)
         families = []
-        enumerate_families(c, lambda key: families.append(key_family(c.n, key)))
+        enumerate_families(c, lambda keys: families.extend(key_family(c.n, key) for key in keys))
         assert sorted(f.members for f in families) == sorted(walk_counters(c, "desc"))
 
 
@@ -404,6 +404,22 @@ def test_campaigns_run_without_numpy():
     )
 
 
+# wraps enumeration._job_keys so that each pooled job asserts it ran in a
+# worker, built no key table of its own and, labelled, left numpy unloaded
+POOLED_JOB_KEYS = """
+import os, sys
+import ucf.cli, ucf.enumeration as e
+parent, job_keys = os.getpid(), e._job_keys
+def pooled_job_keys(payload):
+    misses = e._comp_powers.cache_info().misses
+    keys = job_keys(payload)
+    assert os.getpid() != parent and e._comp_powers.cache_info().misses == misses
+    assert payload[0].up_to_iso or "numpy" not in sys.modules
+    return keys
+e._job_keys = pooled_job_keys
+"""
+
+
 def test_context_and_labelled_listing_run_without_numpy():
     # the search context behind the benchmark's setup time
     assert not module_loaded(
@@ -417,20 +433,31 @@ def test_context_and_labelled_listing_run_without_numpy():
         "import os, sys, ucf.cli\n"
         "assert ucf.cli.main(['enumerate', '--n', '5', '--t', '3', '--out', os.devnull]) == 0"
     )
-    # the canonical relabel of an up-to-iso listing does load it, in the
-    # processes that walk: this one when serial, only the workers of a pool
-    for workers, loaded in (("1", True), ("2", False)):
+    # nor does a labelled listing on a pool, in this process or in its workers
+    assert not module_loaded(
+        "numpy",
+        POOLED_JOB_KEYS + "assert ucf.cli.main(['enumerate', '--n', '5', '--t', '3', '--workers', '2', '--out', os.devnull]) == 0",
+    )
+    # the canonical relabel of an up-to-iso listing does load it, in this
+    # process at any worker count: a pool's workers inherit it
+    for workers in ("1", "2"):
         assert module_loaded(
             "numpy",
             "import os, sys, ucf.cli\n"
             "argv = ['enumerate', '--n', '5', '--t', '3', '--up-to-iso', '--out', os.devnull]\n"
             f"assert ucf.cli.main(argv + ['--workers', '{workers}']) == 0",
-        ) is loaded
+        )
+
+
+def test_pooled_listing_builds_the_key_table_once_in_this_process():
+    argv = "['enumerate', '--n', '5', '--t', '3', '--up-to-iso', '--workers', '2', '--out', os.devnull]"
+    code = POOLED_JOB_KEYS + f"assert ucf.cli.main({argv}) == 0"
+    assert fresh_value(code, "e._comp_powers.cache_info().currsize") == "1"
 
 
 def test_context_builds_without_the_pool_modules():
-    # only a campaign with a pool imports them; they would weigh on setup time
-    for module in ("multiprocessing", "concurrent.futures"):
+    # only a pool, or for array a listing, imports them; they would weigh on setup time
+    for module in ("multiprocessing", "concurrent.futures", "array"):
         assert not module_loaded(
             module,
             "import sys, ucf.cli\n"
