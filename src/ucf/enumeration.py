@@ -72,20 +72,22 @@ verdict reads: T(F), the number of abundant elements and the shape.
 a job's families per key into a tally dict inside the walk, with no
 call per family: a campaign checks each distinct key once and builds
 only failing families.  ``enumerate_families`` hands its visit each
-job's E(F) keys as one run of 8-byte ints and builds no family.
+job's E(F) keys as one run of 8-byte ints, in the walk's preorder like
+every per-family stream the search hands out, and builds no family; a
+listing sorts them once, after the last job.
 
 A family's key is the bitset E(F) = sum(2^(2^n - 1 - m)) over its
 members m.  As every family holds M_n, keys in descending order list
-the member tuples in ascending order.  The search keeps a different
-representative per orbit than the public canonical_form, the image of
-largest E: node_family and canonical_form take that maximum over a
-precomputed (2^n, n!) table of uint64 lanes, one per permutation, and
-decode it.  enumerate_families walks the campaign's jobs, and
-_job_keys keeps those lanes per depth, seeded with {}, M_n and the
-job's prefix: a node's lanes are its parent's OR the row of its last
-member, so a class costs one OR and one argmax, and a labelled family
-one int OR.  64-bit lanes hold E while 2^n <= 64, so canonical forms
-stop at n = 6.
+the member tuples in ascending order, as a listing prints them.  The
+search keeps a different representative per orbit than the public
+canonical_form, the image of largest E: node_family and canonical_form
+take that maximum over a precomputed (2^n, n!) table of uint64 lanes,
+one per permutation, and decode it.  enumerate_families walks the
+campaign's jobs, and _job_keys keeps those lanes per depth, seeded
+with {}, M_n and the job's prefix: a node's lanes are its parent's OR
+the row of its last member, so a class costs one OR and one argmax,
+and a labelled family one int OR.  64-bit lanes hold E while
+2^n <= 64, so canonical forms stop at n = 6.
 
 numpy is imported only by the oracle and by canonical forms: an
 up-to-iso listing builds their table before its pool forks, so the
@@ -114,10 +116,9 @@ if TYPE_CHECKING:  # imported where a listing runs, not with ucf, whose import t
     from array import array
 
 MAX_ENUM_GROUND = 6
-MAX_CANONICAL_GROUND = 6
 BRUTE_FORCE_POOL_CAP = 22
 
-# visit(keys): one job's E(F) keys (see the module docstring), descending, in an array('Q')
+# visit(keys): one job's E(F) keys (see the module docstring), in preorder, in an array('Q')
 Visit = Callable[["array"], None]
 # visit(present, counts): bit p of present is set iff the family holds
 # pool[p]; counts packs its counters, see split_counts
@@ -202,12 +203,12 @@ def canonical_form(family: SetFamily) -> SetFamily:
     lexicographically least member tuple; two families share it iff
     they are relabel-isomorphic, so it serves as their canonical key.
 
-    Supported for n <= MAX_CANONICAL_GROUND (6); larger n raises
+    Supported for n <= MAX_ENUM_GROUND (6); larger n raises
     InfeasibleScale.
     """
     n = family.n
-    if n > MAX_CANONICAL_GROUND:
-        raise InfeasibleScale(f"canonical keys need an S_n scan; supported for n <= {MAX_CANONICAL_GROUND}")
+    if n > MAX_ENUM_GROUND:
+        raise InfeasibleScale(f"canonical keys need an S_n scan; supported for n <= {MAX_ENUM_GROUND}")
     import numpy as np
 
     lanes = np.bitwise_or.reduce(_comp_powers(n)[list(family.members)], axis=0)
@@ -456,10 +457,10 @@ def enumerate_families(
     workers: int = 1,
 ) -> int:
     """Hand visit each job's _job_keys run, the keys E(F) of its families
-    F satisfying c (up_to_iso: of their canonical_form), in subtree_jobs
-    order, so the stream is the same for any workers >= 1; more than one
-    runs the jobs on a pool (see map_jobs), whose workers inherit the key
-    table, built first.  Return the count.
+    F satisfying c (up_to_iso: of their canonical_form) in the walk's
+    preorder, in subtree_jobs order, so the stream is the same for any
+    workers >= 1; more than one runs the jobs on a pool (see map_jobs),
+    whose workers inherit the key table, built first.  Return the count.
     """
     if workers < 1:
         raise PreconditionViolation(f"workers must be at least 1, got {workers}")
@@ -525,8 +526,8 @@ def enumerate_job(
 
 def _job_keys(payload: tuple) -> array:
     """The keys of enumerate_job(c, job)'s families, E(node_family(c,
-    present)), descending in one array('Q'), 8 bytes a key that pickle
-    as one buffer; payload is (c, job).
+    present)), in the walk's preorder in one array('Q'), 8 bytes a key
+    that pickle as one buffer; payload is (c, job).
 
     In preorder, lanes[d - 1] holds a depth-d node's parent's key, or up
     to isomorphism its E under each permutation, whose largest is the
@@ -540,7 +541,7 @@ def _job_keys(payload: tuple) -> array:
 
     c, job = payload
     ctx, full = _search_context(c), full_mask(c.n)
-    keys = array("Q") if c.up_to_iso else []
+    keys = array("Q")
     rows, root, hand = [1 << full - m for m in ctx.pool], 1 << full | 1, keys.append
     if c.up_to_iso:
         powers = _comp_powers(c.n)
@@ -557,13 +558,6 @@ def _job_keys(payload: tuple) -> array:
         hand(lanes[d])
 
     enumerate_job(c, job, emit)
-    if not c.up_to_iso:  # numpy stays unloaded
-        keys.sort(reverse=True)
-        return array("Q", keys)
-    import numpy as np
-
-    np.frombuffer(keys, np.uint64).sort()
-    keys.reverse()
     return keys
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -30,3 +31,10 @@ def test_bench_selftest_passes(tmp_path):
     # the only check of what the benchmark reads from ucf: the report's
     # order key and the verifier names its timing shims wrap
     run_script(ROOT / "bench" / "selftest.py", tmp_path)
+
+
+@pytest.mark.parametrize("tree", ["src", "tests", "demos", "bench"])
+def test_sources_parse_as_python_3_10(tree):
+    # the oldest Python the package supports: no newer syntax slips in
+    for path in sorted((ROOT / tree).rglob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

@@ -148,6 +148,15 @@ class TestRunCampaign:
         assert set(record["by_shape"]) <= set(SHAPE_TAGS)
         assert sum(record["by_shape"].values()) == record["by_t"].get(3, 0)
 
+    def test_job_tally_must_match_the_walk_count(self, monkeypatch):
+        # a walk that counts one family more than its key tally holds is a bug, not a record
+        real = verifier.enumerate_job
+        monkeypatch.setattr(verifier, "enumerate_job", lambda *args, **kwargs: real(*args, **kwargs) + 1)
+        c = EnumerationConstraints(4, 2)
+        payload = (c, verifier._failing(4, ("frankl", "s_frankl")), subtree_jobs(c)[0])
+        with pytest.raises(AssertionError, match="disagrees with count"):
+            verifier._job_worker(payload)
+
     def test_unknown_check_rejected(self):
         with pytest.raises(PreconditionViolation):
             run_campaign(N3T1, checks=("frankl", "nonsense"))
@@ -477,20 +486,22 @@ run_campaign(EnumerationConstraints(4, 1), workers=2)
 
     def test_record_of_families_for_an_empty_job_refused(self, tmp_path, capsys):
         # job 2 of n=5 t=3 up to iso has no family; a record that counts some
-        # for it is bad input, while a zero-count one, as older labelled runs
-        # wrote for their empty jobs, is kept and the run resumes
+        # for it, even one, is bad input, while a zero-count one, as older
+        # labelled runs wrote for their empty jobs, is kept and the run resumes
         c = EnumerationConstraints(5, 3, up_to_iso=True)
         assert 2 not in subtree_jobs(c)
         ck = tmp_path / "run.ck"
         args = ["verify", "--n", "5", "--t", "3", "--up-to-iso", "--workers", "1", "--checkpoint", str(ck)]
         header = verifier._header_line(verifier._checkpoint_header(c, ("frankl", "s_frankl")))
-        claimed = header + '# agg {"job": 2, "count": 7, "by_t": {"3": 7}, "by_shape": {}, "failures": []}\n'
-        ck.write_text(claimed)
-        with pytest.raises(PreconditionViolation, match="line 2: job 2 has no families"):
-            run_campaign(c, checkpoint=str(ck))
-        assert main(args) == 2
-        assert "line 2: job 2 has no families" in capsys.readouterr().err
-        assert ck.read_text() == claimed
+        for count in (7, 1):
+            record = {"job": 2, "count": count, "by_t": {"3": count}, "by_shape": {}, "failures": []}
+            claimed = header + f"# agg {json.dumps(record)}\n"
+            ck.write_text(claimed)
+            with pytest.raises(PreconditionViolation, match="line 2: job 2 has no families"):
+                run_campaign(c, checkpoint=str(ck))
+            assert main(args) == 2
+            assert "line 2: job 2 has no families" in capsys.readouterr().err
+            assert ck.read_text() == claimed
         empty = header + '# agg {"job": 2, "count": 0, "by_t": {}, "by_shape": {}, "failures": []}\n'
         ck.write_text(empty)
         assert run_campaign(c, checkpoint=str(ck)).body_bytes() == run_campaign(c).body_bytes()
