@@ -57,21 +57,27 @@ def _write(out: str | None, chunks: Iterable[str]) -> None:
 
 def _write_listing(keys: array, n: int, out: str | None) -> None:
     """Print count=, then write the families of keys, an array('Q') sorted ascending, over {1..n}
-    (see ucf.enumeration) one line each in member-tuple order, a chunk at a time from the end."""
+    (see ucf.enumeration) one line each in member-tuple order, a chunk at a time from the end.
+
+    Every key must hold M_n, its bit 0, as every listed family does: that member ends each line,
+    so the table of the byte that holds bit 0 renders it without a comma and each line is one join.
+    """
     full = full_mask(n)
-    # reversed, a chunk's native bytes list its keys descending, big-endian on a little-endian host
-    shifts = range(56, -8, -8) if sys.byteorder == "little" else range(0, 64, 8)
     # t0..t7[v]: "a,b," for the members set in v as the key byte at shift k; bit b is mask full - b
     t0, t1, t2, t3, t4, t5, t6, t7 = [
         ["".join([f"{full - b}," for b in range(k + 7, k - 1, -1) if v >> b - k & 1]) for v in range(256)]
-        for k in shifts
+        for k in range(56, -8, -8)
     ]
+    t7 = [text[:-1] if v & 1 else text for v, text in enumerate(t7)]  # M_n, the last member, has no comma
 
     def render(stop: int) -> str:
-        data = keys[max(0, stop - _LINES_PER_WRITE) : stop].tobytes()[::-1]
+        chunk = keys[max(0, stop - _LINES_PER_WRITE) : stop]
+        chunk.reverse()  # descending keys list their member tuples ascending
+        if sys.byteorder == "little":
+            chunk.byteswap()  # big-endian: a key's first byte holds its shift-56 bits
+        data = chunk.tobytes()
         rows = zip(*[data[i::8] for i in range(8)])
-        text = "".join([f"{t0[a]}{t1[b]}{t2[c]}{t3[d]}{t4[e]}{t5[f]}{t6[g]}{t7[h]}\n" for a, b, c, d, e, f, g, h in rows])
-        return text.replace(",\n", "\n")  # each line's last member has a comma
+        return "".join([f"{t0[a]}{t1[b]}{t2[c]}{t3[d]}{t4[e]}{t5[f]}{t6[g]}{t7[h]}\n" for a, b, c, d, e, f, g, h in rows])
 
     _write(None, [f"count={len(keys)}\n"])
     _write(out, (render(stop) for stop in range(len(keys), 0, -_LINES_PER_WRITE)))

@@ -85,9 +85,11 @@ take that maximum over a precomputed (2^n, n!) table of uint64 lanes,
 one per permutation, and decode it.  enumerate_families walks the
 campaign's jobs, and _job_keys keeps those lanes per depth, seeded
 with {}, M_n and the job's prefix: a node's lanes are its parent's OR
-the row of its last member, so a class costs one OR and one argmax,
-and a labelled family one int OR.  64-bit lanes hold E while
-2^n <= 64, so canonical forms stop at n = 6.
+the row of its last member, written into the next row of a block of
+64, whose keys, its rows' maxima, are taken in one call when it fills.
+So a class costs one vector OR and 1/64 of a max, and a labelled
+family one int OR.  64-bit lanes hold E while 2^n <= 64, so canonical
+forms stop at n = 6.
 
 numpy is imported only by the oracle and by canonical forms: an
 up-to-iso listing builds their table before its pool forks, so the
@@ -117,6 +119,8 @@ if TYPE_CHECKING:  # imported where a listing runs, not with ucf, whose import t
 
 MAX_ENUM_GROUND = 6
 BRUTE_FORCE_POOL_CAP = 22
+# rows of an up-to-iso job's lanes whose keys _job_keys takes at once
+_KEY_BLOCK = 64
 
 # visit(keys): one job's E(F) keys (see the module docstring), in preorder, in an array('Q')
 Visit = Callable[["array"], None]
@@ -385,6 +389,23 @@ def _walk(ctx: _Search, visit: CounterVisit | None, viable: int, prefix: int = 0
     key_mask = KEY_MASK[ctx.n]
     cache = any(lowers)  # a labelled context adds members of every size between two nodes
 
+    present, enc, counts, orbit, lower = 0, ctx.orbit[2], ctx.base, ctx.orbit, 0
+    for p in [i for i in range(prefix.bit_length()) if prefix >> i & 1]:
+        low = 1 << p
+        if not viable & low:
+            return 0
+        if low & lower:
+            orbit = _stabilizer(ctx, orbit, enc)
+            enc, lower = orbit[2], 0
+        enc += orbit[1][p]
+        if enc & orbit[2] != orbit[2]:
+            return 0
+        viable = viable >> (p + 1) << (p + 1)
+        for bit, nq in groups[p]:
+            if not present & bit:
+                viable &= nq
+        present, counts, lower = present | low, counts + cols[p], lowers[p]
+
     # lower: ctx.lower of the last member, 0 at the root; masks[p]: p's closure mask, kept from the last switch
     def node(present: int, viable: int, enc: int, counts: int, orbit: _Orbit, lower: int, masks: list) -> int:
         # every node is a complete family: unions of accepted masks are
@@ -430,23 +451,12 @@ def _walk(ctx: _Search, visit: CounterVisit | None, viable: int, prefix: int = 0
                 count += 1
         return count
 
-    present, enc, counts, orbit, lower = 0, ctx.orbit[2], ctx.base, ctx.orbit, 0
-    for p in [i for i in range(prefix.bit_length()) if prefix >> i & 1]:
-        low = 1 << p
-        if not viable & low:
-            return 0
-        if low & lower:
-            orbit = _stabilizer(ctx, orbit, enc)
-            enc, lower = orbit[2], 0
-        enc += orbit[1][p]
-        if enc & orbit[2] != orbit[2]:
-            return 0
-        viable = viable >> (p + 1) << (p + 1)
-        for bit, nq in groups[p]:
-            if not present & bit:
-                viable &= nq
-        present, counts, lower = present | low, counts + cols[p], lowers[p]
-    return node(present, viable, enc, counts, orbit, lower, [None] * size)
+    try:
+        return node(present, viable, enc, counts, orbit, lower, [None] * size)
+    finally:
+        # node's recursion makes it a reference cycle: break it, so the visit and its
+        # state (a listing job's keys) go with the walk, not at the next cyclic collection
+        del node
 
 
 def enumerate_families(
@@ -535,29 +545,60 @@ def _job_keys(payload: tuple) -> array:
     of its prefix, the k set bits of job, at depth k, so depths 1..k-1
     are seeded from the prefix; depth 0 holds {} and M_n.  Positions are
     chosen ascending: present's bit count is the depth, its top bit the
-    last member.
+    last member.  A labelled node's key is one int OR.  Up to isomorphism
+    a node's lanes are OR-ed into the next row of a block of _KEY_BLOCK
+    rows, and a full block hands out all its keys, its rows' maxima, at
+    once; the rows of the last node's path, depths 0..d, are first copied
+    into fixed per-depth rows, so its descendants still read them once
+    the block is reused.
     """
     from array import array
 
     c, job = payload
     ctx, full = _search_context(c), full_mask(c.n)
     keys = array("Q")
-    rows, root, hand = [1 << full - m for m in ctx.pool], 1 << full | 1, keys.append
+    rows, root = [1 << full - m for m in ctx.pool], 1 << full | 1
     if c.up_to_iso:
         powers = _comp_powers(c.n)
         rows, root = [powers[m] for m in ctx.pool], powers[0] | powers[full]
-        hand = lambda lane: keys.append(lane.item(lane.argmax()))  # noqa: E731
     lanes = [root] * (ctx.size + 1)  # replaced per depth, never written in place
     for d, p in enumerate([i for i in range(job.bit_length()) if job >> i & 1][:-1], start=1):
         lanes[d] = lanes[d - 1] | rows[p]
 
-    def emit(present: int, counts: int) -> None:
-        d = present.bit_count()
-        if d:
-            lanes[d] = lanes[d - 1] | rows[present.bit_length() - 1]
-        hand(lanes[d])
+    if not c.up_to_iso:
 
-    enumerate_job(c, job, emit)
+        def emit(present: int, counts: int) -> None:
+            d = present.bit_count()
+            if d:
+                lanes[d] = lanes[d - 1] | rows[present.bit_length() - 1]
+            keys.append(lanes[d])
+
+        enumerate_job(c, job, emit)
+        return keys
+    import numpy as np
+
+    block = np.empty((_KEY_BLOCK, powers.shape[1]), np.uint64)
+    slots, path, used = list(block), list(np.empty((ctx.size + 1, powers.shape[1]), np.uint64)), 0
+    or_ = np.bitwise_or
+
+    def emit_row(present: int, counts: int) -> None:
+        nonlocal used
+        d, row = present.bit_count(), slots[used]
+        if d:
+            or_(lanes[d - 1], rows[present.bit_length() - 1], row)
+        else:
+            row[:] = lanes[0]
+        lanes[d] = row
+        used += 1
+        if used == len(slots):
+            keys.frombytes(block.max(axis=1).tobytes())
+            for k in range(d + 1):
+                path[k][:] = lanes[k]
+                lanes[k] = path[k]
+            used = 0
+
+    enumerate_job(c, job, emit_row)
+    keys.frombytes(block[:used].max(axis=1).tobytes())
     return keys
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import itertools
 import os
@@ -146,6 +147,19 @@ class TestCanonicalKey:
         assert (a.members < b.members) != (b.members < a.members)
 
 
+def assert_job_keys_are_node_families(c: EnumerationConstraints) -> None:
+    for job in subtree_jobs(c):
+        nodes: list[int] = []
+        enumerate_job(c, job, lambda present, counts: nodes.append(present))
+        expected = [family_key(node_family(c, present)) for present in nodes]
+        keys = enumeration._job_keys((c, job))
+        # a run of 8-byte ints pickles as one buffer; each key sits at its
+        # own node, in preorder, and the classes are distinct
+        assert isinstance(keys, array) and keys.itemsize == 8, job
+        assert len(set(keys)) == len(keys), job
+        assert list(keys) == expected, job
+
+
 def listing(n: int, keys: list[int]) -> list[str]:
     """The lines ucf.cli writes for keys, count= first."""
     out = io.StringIO()
@@ -173,6 +187,19 @@ class TestListingKeys:
         assert [bytes(f.members) for f in by_key] == sorted(bytes(f.members) for f in families)
         lines = listing(n, [family_key(f) for f in families])
         assert lines == [f"count={len(families)}"] + [",".join(map(str, f.members)) for f in by_key]
+
+    @pytest.mark.parametrize("byteorder", ["little", "big"])
+    def test_listing_renders_on_either_byte_order(self, byteorder, monkeypatch, capsys):
+        # a host of the other byte order is emulated by its keys' bytes and its sys.byteorder
+        members = [(0, 3, 12, 15), (0, 1, 2, 3, 15), (0, 7, 11, 13, 14, 15)]
+        keys = array("Q", sorted(family_key(SetFamily(4, m)) for m in members))
+        keys += array("Q", [family_key(SetFamily(6, (0, 1, 9, 17, 33, 63)))])
+        if byteorder != sys.byteorder:
+            keys.byteswap()
+        monkeypatch.setattr(sys, "byteorder", byteorder)
+        cli._write_listing(keys[:3], 4, None)
+        cli._write_listing(keys[3:], 6, None)
+        assert capsys.readouterr().out == "count=3\n0,1,2,3,15\n0,3,12,15\n0,7,11,13,14,15\ncount=1\n0,1,9,17,33,63\n"
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 6).flatmap(listed_family_strategy))
@@ -262,17 +289,31 @@ class TestEnumerateFamilies:
     def test_every_emitted_key_is_its_node_family(self, n, t, iso):
         # a job's first visit is its root, the node of its prefix, so the
         # per-depth lanes of an up-to-iso emit are seeded from the prefix
-        c = EnumerationConstraints(n, t, up_to_iso=iso)
-        for job in subtree_jobs(c):
-            nodes: list[int] = []
-            enumerate_job(c, job, lambda present, counts: nodes.append(present))
-            expected = [family_key(node_family(c, present)) for present in nodes]
-            keys = enumeration._job_keys((c, job))
-            # a run of 8-byte ints pickles as one buffer; each key sits at its
-            # own node, in preorder, and the classes are distinct
-            assert isinstance(keys, array) and keys.itemsize == 8, job
-            assert len(set(keys)) == len(keys), job
-            assert list(keys) == expected, job
+        assert_job_keys_are_node_families(EnumerationConstraints(n, t, up_to_iso=iso))
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("n,t", [(5, 3), (6, 4)])
+    def test_key_blocks_of_any_size_keep_every_key(self, n, t, block, monkeypatch):
+        # blocks this small fill at every depth, mid-job and at a job's root,
+        # and most jobs end on a partial block
+        monkeypatch.setattr(enumeration, "_KEY_BLOCK", block)
+        assert_job_keys_are_node_families(EnumerationConstraints(n, t, up_to_iso=True))
+
+    @pytest.mark.parametrize("iso", [True, False])
+    def test_a_job_leaves_no_garbage_cycle(self, iso):
+        # a cycle through the walk's recursion would keep each finished job's
+        # visit, with a listing job's keys, alive until a cyclic collection
+        c = EnumerationConstraints(5, 3, up_to_iso=iso)
+        job = subtree_jobs(c)[-1]
+        enumeration._job_keys((c, job))  # builds the cached tables first
+        gc.collect()
+        gc.disable()
+        try:
+            enumeration._job_keys((c, job))
+            enumerate_job(c, job, tally={})
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("n,t,iso", [(5, 2, False), (5, 3, True)])
     def test_visit_stream_is_the_same_on_a_pool(self, n, t, iso):
