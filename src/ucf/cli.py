@@ -8,6 +8,7 @@ counterexamples found, 2 = parse, scope, or feasibility errors.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -55,9 +56,20 @@ def _write(out: str | None, chunks: Iterable[str]) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+def _check_writable(path: str) -> None:
+    """Raise now, creating nothing, the OSError that open(path, "w") would after a run: path is a folder or in none."""
+    try:
+        os.stat(os.path.join(os.path.dirname(path) or ".", ""))  # the trailing "/" makes a file raise ENOTDIR
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    if os.path.isdir(path):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def _write_listing(keys: array, n: int, out: str | None) -> None:
-    """Print count=, then write the families of keys, an array('Q') sorted ascending, over {1..n}
-    (see ucf.enumeration) one line each in member-tuple order, a chunk at a time from the end.
+    """Write the families of keys, an array('Q') sorted ascending, over {1..n} (see ucf.enumeration)
+    one line each in member-tuple order, a chunk at a time from the end, and print count=: on stdout
+    before them, or once the file out is written.
 
     Every key must hold M_n, its bit 0, as every listed family does: that member ends each line,
     so the table of the byte that holds bit 0 renders it without a comma and each line is one join.
@@ -79,8 +91,10 @@ def _write_listing(keys: array, n: int, out: str | None) -> None:
         rows = zip(*[data[i::8] for i in range(8)])
         return "".join([f"{t0[a]}{t1[b]}{t2[c]}{t3[d]}{t4[e]}{t5[f]}{t6[g]}{t7[h]}\n" for a, b, c, d, e, f, g, h in rows])
 
-    _write(None, [f"count={len(keys)}\n"])
+    count = [f"count={len(keys)}\n"]
+    _write(None, [] if out else count)  # count= goes first on stdout, or after the file it counts
     _write(out, (render(stop) for stop in range(len(keys), 0, -_LINES_PER_WRITE)))
+    _write(None, count if out else [])
 
 
 def _resolve_workers(args) -> int:
@@ -134,12 +148,9 @@ def cmd_enumerate(args) -> int:
     c = EnumerationConstraints(args.n, args.t, up_to_iso=args.up_to_iso)
     keys = array("Q")
     enumerate_families(c, keys.extend, unbounded=args.unbounded, workers=_resolve_workers(args))
-    if c.up_to_iso:  # its key table loaded numpy: sort in place through a view
-        import numpy as np
+    import numpy as np  # already loaded by the listing's key table
 
-        np.frombuffer(keys, np.uint64).sort()
-    else:
-        keys = array("Q", sorted(keys))
+    np.frombuffer(keys, np.uint64).sort()  # in place, through a view
     _write_listing(keys, c.n, args.out)
     return 0
 
@@ -225,6 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for path in filter(None, (getattr(args, "out", None), getattr(args, "report", None))):
+            _check_writable(path)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

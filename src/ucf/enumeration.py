@@ -87,14 +87,13 @@ campaign's jobs, and _job_keys keeps those lanes per depth, seeded
 with {}, M_n and the job's prefix: a node's lanes are its parent's OR
 the row of its last member, written into the next row of a block of
 64, whose keys, its rows' maxima, are taken in one call when it fills.
-So a class costs one vector OR and 1/64 of a max, and a labelled
-family one int OR.  64-bit lanes hold E while 2^n <= 64, so canonical
-forms stop at n = 6.
+So a class costs one vector OR and 1/64 of a max; a labelled listing
+keeps the identity's lane alone, E itself.  64-bit lanes hold E while
+2^n <= 64, so canonical forms stop at n = 6.
 
-numpy is imported only by the oracle and by canonical forms: an
-up-to-iso listing builds their table before its pool forks, so the
-workers inherit both; counting, counter visits, labelled listings and
-campaigns run without it.
+numpy is imported by listings, which build the table before the pool
+forks, so workers inherit both, and by the oracle and canonical forms;
+import ucf, the search context, enumerate_job and campaigns run without it.
 """
 
 from __future__ import annotations
@@ -119,7 +118,7 @@ if TYPE_CHECKING:  # imported where a listing runs, not with ucf, whose import t
 
 MAX_ENUM_GROUND = 6
 BRUTE_FORCE_POOL_CAP = 22
-# rows of an up-to-iso job's lanes whose keys _job_keys takes at once
+# rows of a listing job's lanes whose keys _job_keys takes at once
 _KEY_BLOCK = 64
 
 # visit(keys): one job's E(F) keys (see the module docstring), in preorder, in an array('Q')
@@ -475,8 +474,7 @@ def enumerate_families(
     if workers < 1:
         raise PreconditionViolation(f"workers must be at least 1, got {workers}")
     ensure_enumerable(c, unbounded)
-    if c.up_to_iso:
-        _comp_powers(c.n)
+    _comp_powers(c.n)
     count = 0
     with ExitStack() as stack:
         for keys in map_jobs(stack, _job_keys, [(c, job) for job in subtree_jobs(c)], workers):
@@ -539,49 +537,37 @@ def _job_keys(payload: tuple) -> array:
     present)), in the walk's preorder in one array('Q'), 8 bytes a key
     that pickle as one buffer; payload is (c, job).
 
-    In preorder, lanes[d - 1] holds a depth-d node's parent's key, or up
-    to isomorphism its E under each permutation, whose largest is the
-    key, when it is visited.  The job's first visit is its root, the node
-    of its prefix, the k set bits of job, at depth k, so depths 1..k-1
-    are seeded from the prefix; depth 0 holds {} and M_n.  Positions are
-    chosen ascending: present's bit count is the depth, its top bit the
-    last member.  A labelled node's key is one int OR.  Up to isomorphism
-    a node's lanes are OR-ed into the next row of a block of _KEY_BLOCK
-    rows, and a full block hands out all its keys, its rows' maxima, at
-    once; the rows of the last node's path, depths 0..d, are first copied
-    into fixed per-depth rows, so its descendants still read them once
-    the block is reused.
+    A key is the largest lane of a row of _comp_powers(n), the family's E
+    under each permutation, or labelled of its first column, the
+    identity's.  In preorder, lanes[d - 1] holds a depth-d node's
+    parent's row when it is visited.  The job's first visit is its root,
+    the node of its prefix, the k set bits of job, at depth k, so depths
+    1..k-1 are seeded from the prefix; depth 0 holds {} and M_n.
+    Positions are chosen ascending: present's bit count is the depth, its
+    top bit the last member.  A node's row is OR-ed into the next row of
+    a block of _KEY_BLOCK rows, and a full block hands out all its keys,
+    its rows' maxima, at once; the rows of the last node's path, depths
+    0..d, are first copied into fixed per-depth rows, so its descendants
+    still read them once the block is reused.
     """
     from array import array
 
+    import numpy as np
+
     c, job = payload
     ctx, full = _search_context(c), full_mask(c.n)
-    keys = array("Q")
-    rows, root = [1 << full - m for m in ctx.pool], 1 << full | 1
-    if c.up_to_iso:
-        powers = _comp_powers(c.n)
-        rows, root = [powers[m] for m in ctx.pool], powers[0] | powers[full]
-    lanes = [root] * (ctx.size + 1)  # replaced per depth, never written in place
+    powers = _comp_powers(c.n) if c.up_to_iso else _comp_powers(c.n)[:, :1]
+    rows, width = [powers[m] for m in ctx.pool], powers.shape[1]
+    lanes = [powers[0] | powers[full]] * (ctx.size + 1)  # replaced per depth, never written in place
     for d, p in enumerate([i for i in range(job.bit_length()) if job >> i & 1][:-1], start=1):
         lanes[d] = lanes[d - 1] | rows[p]
 
-    if not c.up_to_iso:
-
-        def emit(present: int, counts: int) -> None:
-            d = present.bit_count()
-            if d:
-                lanes[d] = lanes[d - 1] | rows[present.bit_length() - 1]
-            keys.append(lanes[d])
-
-        enumerate_job(c, job, emit)
-        return keys
-    import numpy as np
-
-    block = np.empty((_KEY_BLOCK, powers.shape[1]), np.uint64)
-    slots, path, used = list(block), list(np.empty((ctx.size + 1, powers.shape[1]), np.uint64)), 0
+    keys = array("Q")
+    block = np.empty((_KEY_BLOCK, width), np.uint64)
+    slots, path, used = list(block), list(np.empty((ctx.size + 1, width), np.uint64)), 0
     or_ = np.bitwise_or
 
-    def emit_row(present: int, counts: int) -> None:
+    def emit(present: int, counts: int) -> None:
         nonlocal used
         d, row = present.bit_count(), slots[used]
         if d:
@@ -597,7 +583,7 @@ def _job_keys(payload: tuple) -> array:
                 lanes[k] = path[k]
             used = 0
 
-    enumerate_job(c, job, emit_row)
+    enumerate_job(c, job, emit)
     keys.frombytes(block[:used].max(axis=1).tobytes())
     return keys
 

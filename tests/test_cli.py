@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import ucf
+import ucf.cli as cli
 import ucf.verifier as verifier
 from test_verifier import OLD_N4T2_CHECKPOINT, always_fail
 from ucf.cli import main
@@ -359,6 +360,52 @@ def test_summaries_survive_a_reader_that_stops_early(tmp_path):
                 cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
             )
             assert out.returncode == 0, (pipeline, out.stderr)
+
+
+# each command, its output flag and the run that flag's file waits for
+RUNS = [("enumerate", "--out", "enumerate_families"), ("verify", "--report", "run_campaign")]
+
+
+@pytest.mark.parametrize("where", ["missing folder", "folder"])
+@pytest.mark.parametrize("command,flag,run", RUNS)
+def test_unwritable_output_fails_before_the_run(tmp_path, capsys, monkeypatch, command, flag, run, where):
+    # a listing has no checkpoint to resume from: a path that open refuses
+    # after the run must cost no job, print nothing and create nothing
+    def never(*args, **kwargs):
+        raise AssertionError(f"{run} called")
+
+    monkeypatch.setattr(cli, run, never)
+    path = str(tmp_path / "missing" / "x.txt" if where == "missing folder" else tmp_path)
+    with pytest.raises(OSError) as refused:
+        open(path, "w")
+    assert main([command, "--n", "4", "--t", "2", "--workers", "1", flag, path]) == 2
+    assert capsys.readouterr() == ("", f"io error: {refused.value}\n")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command,flag,run", RUNS)
+def test_output_file_is_replaced_only_after_the_run(tmp_path, capsys, monkeypatch, command, flag, run):
+    path = tmp_path / "x.txt"
+    path.write_text("old\n")
+    real_run, real_write, printed = getattr(cli, run), cli._write, []
+
+    def checked_run(*args, **kwargs):
+        assert path.read_text() == "old\n"
+        return real_run(*args, **kwargs)
+
+    def noted_write(out, chunks):
+        if out is None and chunks:  # stdout: note how much of the file is written by then
+            printed.append(path.read_text().count("\n"))
+        real_write(out, chunks)
+
+    monkeypatch.setattr(cli, run, checked_run)
+    monkeypatch.setattr(cli, "_write", noted_write)
+    assert main([command, "--n", "4", "--t", "2", "--workers", "1", flag, str(path)]) == 0
+    out = capsys.readouterr().out
+    if command == "enumerate":  # count= follows the whole listing
+        assert (out, printed) == ("count=378\n", [378])
+    else:
+        assert json.loads(path.read_text())["families_total"] == 378
 
 
 class TestParserPlumbing:

@@ -292,12 +292,14 @@ class TestEnumerateFamilies:
         assert_job_keys_are_node_families(EnumerationConstraints(n, t, up_to_iso=iso))
 
     @pytest.mark.parametrize("block", [1, 2, 3])
-    @pytest.mark.parametrize("n,t", [(5, 3), (6, 4)])
-    def test_key_blocks_of_any_size_keep_every_key(self, n, t, block, monkeypatch):
+    @pytest.mark.parametrize(
+        "n,t,iso", [(5, 3, True), (6, 4, True), (4, 1, False), (4, 2, False)], ids=["5-3", "6-4", "4-1-labelled", "4-2-labelled"]
+    )
+    def test_key_blocks_of_any_size_keep_every_key(self, n, t, iso, block, monkeypatch):
         # blocks this small fill at every depth, mid-job and at a job's root,
-        # and most jobs end on a partial block
+        # and most jobs end on a partial block; a labelled block is one lane wide
         monkeypatch.setattr(enumeration, "_KEY_BLOCK", block)
-        assert_job_keys_are_node_families(EnumerationConstraints(n, t, up_to_iso=True))
+        assert_job_keys_are_node_families(EnumerationConstraints(n, t, up_to_iso=iso))
 
     @pytest.mark.parametrize("iso", [True, False])
     def test_a_job_leaves_no_garbage_cycle(self, iso):

@@ -405,22 +405,22 @@ def test_campaigns_run_without_numpy():
 
 
 # wraps enumeration._job_keys so that each pooled job asserts it ran in a
-# worker, built no key table of its own and, labelled, left numpy unloaded
+# worker, with numpy inherited from this process, and built no key table of its own
 POOLED_JOB_KEYS = """
 import os, sys
 import ucf.cli, ucf.enumeration as e
 parent, job_keys = os.getpid(), e._job_keys
 def pooled_job_keys(payload):
+    assert "numpy" in sys.modules
     misses = e._comp_powers.cache_info().misses
     keys = job_keys(payload)
     assert os.getpid() != parent and e._comp_powers.cache_info().misses == misses
-    assert payload[0].up_to_iso or "numpy" not in sys.modules
     return keys
 e._job_keys = pooled_job_keys
 """
 
 
-def test_context_and_labelled_listing_run_without_numpy():
+def test_context_runs_without_numpy_and_every_listing_loads_it():
     # the search context behind the benchmark's setup time
     assert not module_loaded(
         "numpy",
@@ -428,31 +428,19 @@ def test_context_and_labelled_listing_run_without_numpy():
         "from ucf.enumeration import EnumerationConstraints, job_depth\n"
         "assert job_depth(EnumerationConstraints(6, 3, up_to_iso=True)) == 16"
     )
-    assert not module_loaded(
-        "numpy",
-        "import os, sys, ucf.cli\n"
-        "assert ucf.cli.main(['enumerate', '--n', '5', '--t', '3', '--out', os.devnull]) == 0"
-    )
-    # nor does a labelled listing on a pool, in this process or in its workers
-    assert not module_loaded(
-        "numpy",
-        POOLED_JOB_KEYS + "assert ucf.cli.main(['enumerate', '--n', '5', '--t', '3', '--workers', '2', '--out', os.devnull]) == 0",
-    )
-    # the canonical relabel of an up-to-iso listing does load it, in this
-    # process at any worker count: a pool's workers inherit it
-    for workers in ("1", "2"):
-        assert module_loaded(
-            "numpy",
-            "import os, sys, ucf.cli\n"
-            "argv = ['enumerate', '--n', '5', '--t', '3', '--up-to-iso', '--out', os.devnull]\n"
-            f"assert ucf.cli.main(argv + ['--workers', '{workers}']) == 0",
-        )
+    # a listing of either mode builds its key table with numpy in this process,
+    # serial or on a pool, whose workers inherit both
+    for iso in ([], ["--up-to-iso"]):
+        for workers, code in (("1", "import os, sys, ucf.cli\n"), ("2", POOLED_JOB_KEYS)):
+            argv = ["enumerate", "--n", "5", "--t", "3", *iso, "--workers", workers, "--out", os.devnull]
+            assert module_loaded("numpy", code + f"assert ucf.cli.main({argv}) == 0")
 
 
 def test_pooled_listing_builds_the_key_table_once_in_this_process():
-    argv = "['enumerate', '--n', '5', '--t', '3', '--up-to-iso', '--workers', '2', '--out', os.devnull]"
-    code = POOLED_JOB_KEYS + f"assert ucf.cli.main({argv}) == 0"
-    assert fresh_value(code, "e._comp_powers.cache_info().currsize") == "1"
+    for iso in ([], ["--up-to-iso"]):
+        argv = ["enumerate", "--n", "5", "--t", "3", *iso, "--workers", "2", "--out", os.devnull]
+        code = POOLED_JOB_KEYS + f"assert ucf.cli.main({argv}) == 0"
+        assert fresh_value(code, "e._comp_powers.cache_info().currsize") == "1"
 
 
 def test_context_builds_without_the_pool_modules():
